@@ -50,6 +50,15 @@ class KernelTraceOracle:
     running thread, mirroring exactly what the kernel's scheduling
     class is *supposed* to do; every ``dispatch`` is checked against
     the model's own pick.
+
+    Every event costs O(1) model work: a tid -> queued-locations index
+    replaces scanning each CPU's levels, empty priority levels are
+    deleted so the top priority is ``max(levels)``, and handlers are
+    looked up in a topic-keyed table.  Malformed streams (a tid queued
+    twice, running on two CPUs) keep their multiset semantics: the
+    index holds every queued occurrence, and a thread queued at several
+    places is located at the lowest CPU, then the level that CPU used
+    first.
     """
 
     def __init__(self, n_cpus, max_violations=16):
@@ -57,11 +66,29 @@ class KernelTraceOracle:
         self.max_violations = max_violations
         self.violations = []
         self._ready = [dict() for _ in range(n_cpus)]  # prio -> deque
+        #: per CPU, prio -> order of the level's first use (never
+        #: deleted): the tie-break among a tid's queued locations
+        self._rank = [dict() for _ in range(n_cpus)]
+        self._where = {}  # tid -> [(cpu, prio), ...] queued occurrences
         self._running = [None] * n_cpus
+        self._running_on = {}  # tid -> set of CPUs it runs on
         self._prio = {}  # tid -> last known priority
         self._names = {}  # tid -> thread name
         self._group_time = None
         self._group_cpus = set()
+        self._handlers = {
+            "kernel.spawn": self._on_spawn,
+            "kernel.ready": self._on_ready,
+            "kernel.preempt": self._on_preempt,
+            "kernel.yield": self._on_yield,
+            "kernel.dispatch": self._on_dispatch,
+            "kernel.block": self._on_block,
+            "kernel.thread_exit": self._on_thread_exit,
+            "kernel.migrate": self._on_migrate,
+            "kernel.setscheduler": self._on_setscheduler,
+            "kernel.prio_boost": self._on_prio_boost,
+            "kernel.prio_restore": self._on_prio_restore,
+        }
 
     # -- model helpers -------------------------------------------------
 
@@ -69,28 +96,63 @@ class KernelTraceOracle:
         if len(self.violations) < self.max_violations:
             self.violations.append(_violation(oracle, time, detail))
 
-    def _queue(self, cpu, prio):
-        return self._ready[cpu].setdefault(prio, deque())
+    def _enqueue(self, tid, cpu, prio, head=False):
+        levels = self._ready[cpu]
+        queue = levels.get(prio)
+        if queue is None:
+            queue = levels[prio] = deque()
+            self._rank[cpu].setdefault(prio, len(self._rank[cpu]))
+        if head:
+            queue.appendleft(tid)
+        else:
+            queue.append(tid)
+        self._where.setdefault(tid, []).append((cpu, prio))
+
+    def _unqueue(self, tid, where):
+        """Remove ``tid``'s first occurrence at ``where`` = (cpu, prio)."""
+        cpu, prio = where
+        queue = self._ready[cpu][prio]
+        queue.remove(tid)
+        if not queue:
+            del self._ready[cpu][prio]
+        locations = self._where[tid]
+        locations.remove(where)
+        if not locations:
+            del self._where[tid]
 
     def _locate(self, tid):
         """(cpu, prio) of a queued tid, or None."""
-        for cpu in range(self.n_cpus):
-            for prio, queue in self._ready[cpu].items():
-                if tid in queue:
-                    return cpu, prio
-        return None
+        locations = self._where.get(tid)
+        if not locations:
+            return None
+        if len(locations) == 1:
+            return locations[0]
+        rank = self._rank
+        return min(locations,
+                   key=lambda where: (where[0], rank[where[0]][where[1]]))
+
+    def _set_running(self, cpu, tid):
+        old = self._running[cpu]
+        if old is not None:
+            cpus = self._running_on[old]
+            cpus.discard(cpu)
+            if not cpus:
+                del self._running_on[old]
+        self._running[cpu] = tid
+        if tid is not None:
+            self._running_on.setdefault(tid, set()).add(cpu)
 
     def _remove_everywhere(self, tid):
-        for cpu in range(self.n_cpus):
-            if self._running[cpu] == tid:
-                self._running[cpu] = None
-            for queue in self._ready[cpu].values():
-                if tid in queue:
-                    queue.remove(tid)
+        """Stop ``tid`` running anywhere and drop one queued occurrence
+        per (cpu, prio) level holding it."""
+        for cpu in list(self._running_on.get(tid, ())):
+            self._set_running(cpu, None)
+        for where in set(self._where.get(tid, ())):
+            self._unqueue(tid, where)
 
     def _top_prio(self, cpu):
-        live = [p for p, q in self._ready[cpu].items() if q]
-        return max(live) if live else None
+        levels = self._ready[cpu]
+        return max(levels) if levels else None
 
     def _name(self, tid):
         return self._names.get(tid, f"tid{tid}")
@@ -98,15 +160,13 @@ class KernelTraceOracle:
     # -- event replay --------------------------------------------------
 
     def on_event(self, topic, time, data):
-        if not topic.startswith("kernel."):
-            return
-        kind = topic[len("kernel."):]
-        handler = getattr(self, "_on_" + kind, None)
+        handler = self._handlers.get(topic)
         if handler is None:
             return
-        if self._group_time is not None and time != self._group_time:
-            self._settle()
-        self._group_time = time
+        if time != self._group_time:
+            if self._group_time is not None:
+                self._settle()
+            self._group_time = time
         tid = data.get("tid")
         if tid is not None and "thread" in data:
             self._names[tid] = data["thread"]
@@ -150,15 +210,14 @@ class KernelTraceOracle:
 
     def _on_ready(self, time, data):
         tid, cpu, prio = data["tid"], data["cpu"], data["prio"]
-        where = self._locate(tid)
-        if where is not None:
+        if tid in self._where:
             self._fail("fifo_order", time,
                        f"{self._name(tid)} made ready twice")
             self._remove_everywhere(tid)
         if self._running[cpu] == tid:
-            self._running[cpu] = None
+            self._set_running(cpu, None)
         self._prio[tid] = prio
-        self._queue(cpu, prio).append(tid)
+        self._enqueue(tid, cpu, prio)
 
     def _on_preempt(self, time, data):
         tid, cpu, prio = data["tid"], data["cpu"], data["prio"]
@@ -168,16 +227,16 @@ class KernelTraceOracle:
                        f"cpu{cpu}")
             self._remove_everywhere(tid)
         else:
-            self._running[cpu] = None
+            self._set_running(cpu, None)
         self._prio[tid] = prio
-        self._queue(cpu, prio).appendleft(tid)
+        self._enqueue(tid, cpu, prio, head=True)
 
     def _on_yield(self, time, data):
         tid, cpu, prio = data["tid"], data["cpu"], data["prio"]
         if self._running[cpu] == tid:
-            self._running[cpu] = None
+            self._set_running(cpu, None)
         self._prio[tid] = prio
-        self._queue(cpu, prio).append(tid)
+        self._enqueue(tid, cpu, prio)
 
     def _on_dispatch(self, time, data):
         tid, cpu, prio = data["tid"], data["cpu"], data["prio"]
@@ -203,14 +262,14 @@ class KernelTraceOracle:
                 )
         where = self._locate(tid)
         if where is not None:
-            self._ready[where[0]][where[1]].remove(tid)
-        self._running[cpu] = tid
+            self._unqueue(tid, where)
+        self._set_running(cpu, tid)
         self._prio[tid] = prio
 
     def _on_block(self, time, data):
         tid, cpu = data["tid"], data["cpu"]
         if self._running[cpu] == tid:
-            self._running[cpu] = None
+            self._set_running(cpu, None)
         else:
             self._remove_everywhere(tid)
 
@@ -229,8 +288,8 @@ class KernelTraceOracle:
         where = self._locate(tid)
         if where is not None:
             # requeue discipline: out at the old level, tail of the new
-            self._ready[where[0]][where[1]].remove(tid)
-            self._queue(where[0], prio).append(tid)
+            self._unqueue(tid, where)
+            self._enqueue(tid, where[0], prio)
         self._prio[tid] = prio
 
     def _on_prio_restore(self, time, data):

@@ -100,6 +100,9 @@ def build_middleware(scenario, collect_kernel_events=True, engine=None,
     :returns: ``(middleware, events)`` — the constructed
         :class:`~repro.core.middleware.RTSeed` (not yet started) and
         the live list its probe subscriber appends recorded events to.
+        Each event keeps the bus payload dict itself, uncopied: it is a
+        fresh keyword dict per publish and no subscriber mutates it
+        (see :mod:`repro.obs.bus`).
     """
     if isinstance(scenario, dict):
         scenario = Scenario.from_dict(scenario)
@@ -113,13 +116,12 @@ def build_middleware(scenario, collect_kernel_events=True, engine=None,
     if collect_kernel_events:
         topics.append("kernel.*")
     middleware.probes.subscribe(
-        lambda topic, time, data: events.append((topic, time,
-                                                 dict(data))),
+        lambda topic, time, data: events.append((topic, time, data)),
         topics=topics,
     )
-    # passive flight recorder: free while the bus is idle, and the
-    # subscriber above activates the bus anyway — on failure its ring
-    # is attached into the check artifact
+    # passive flight recorder: it rides on the kernel.*/rtseed.* events
+    # the subscriber above demands — on failure its ring is attached
+    # into the check artifact
     FlightRecorder.attach(middleware.kernel, seed=scenario.seed)
 
     for spec in scenario.tasks:
@@ -183,8 +185,7 @@ def run_simulator(scenario):
     )
     events = []
     simulator.probes.subscribe(
-        lambda topic, time, data: events.append((topic, time,
-                                                 dict(data))),
+        lambda topic, time, data: events.append((topic, time, data)),
         topics=["sim.*"],
     )
     horizon = max(

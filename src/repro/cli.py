@@ -1095,11 +1095,13 @@ def cmd_farm(args, out):
 def cmd_scale(args, out):
     from repro.farm import DEFAULT_HEARTBEAT, FarmInterrupted
     from repro.hardware.xeonphi import XEON_PHI_3120A
-    from repro.scale import farm_scale, farm_scale_sweep, \
-        render_scale_report
+    from repro.scale import check_task_count, failure_summary, \
+        farm_scale, farm_scale_sweep, render_scale_report
 
     try:
         spec = XEON_PHI_3120A.subset(args.cores, args.threads_per_core)
+        if args.what == "campaign":
+            check_task_count(args.tasks, spec.n_cores)
     except ValueError as error:
         print(f"scale: {error}", file=out)
         return 2
@@ -1148,6 +1150,8 @@ def cmd_scale(args, out):
         out.write(rendered)
     _farm_status(farm_result, out)
     if args.what == "campaign":
+        for line in failure_summary(document):
+            print(f"scale: {line}", file=out)
         totals = document["totals"]
         wall = farm_result.stats.get("wall_seconds") or 0
         throughput = (f"{totals['jobs_done'] / wall * 60.0:,.0f} "

@@ -266,7 +266,7 @@ class RealTimeProcess:
             )
             self.probes.append(probe)
             probe.mandatory_start = yield GetTime()
-            if bus.active:
+            if bus.want_rtseed:
                 bus.publish("rtseed.release", task=task.name,
                             job=job_index, tid=thread.tid,
                             release=release)
@@ -284,7 +284,7 @@ class RealTimeProcess:
                 # process alive for the next release.
                 probe.aborted = True
                 now = yield GetTime()
-                if bus.active:
+                if bus.want_rtseed:
                     bus.publish("rtseed.job_abort", task=task.name,
                                 job=job_index, tid=thread.tid,
                                 reason=error.reason)
@@ -292,7 +292,7 @@ class RealTimeProcess:
                     self.degrade.record_job(task.name, False, now)
                 continue
             probe.mandatory_end = yield GetTime()
-            if bus.active:
+            if bus.want_rtseed:
                 bus.publish(
                     "rtseed.mandatory_end", task=task.name,
                     job=job_index, tid=thread.tid,
@@ -304,7 +304,7 @@ class RealTimeProcess:
                 # degraded mode: time remained, but system-wide pressure
                 # sheds the optional parts — mandatory + wind-up only.
                 self.degrade.note_shed()
-                if bus.active:
+                if bus.want_degrade:
                     bus.publish("degrade.shed", task=task.name,
                                 job=job_index, tid=thread.tid,
                                 n_parts=task.n_parallel)
@@ -320,7 +320,7 @@ class RealTimeProcess:
                         self.watchdog.arm(self.kernel, self, job_index,
                                           part_index, probe.od_abs)
                 probe.signal_end = yield GetTime()
-                if bus.active:
+                if bus.want_rtseed:
                     bus.publish("rtseed.signals_done", task=task.name,
                                 job=job_index, tid=thread.tid,
                                 delta_b=probe.delta_b)
@@ -334,20 +334,20 @@ class RealTimeProcess:
             elif not shed:
                 # no time for optional parts — they are discarded (the
                 # wake-up signal is never sent) and the wind-up runs now.
-                if bus.active:
+                if bus.want_rtseed:
                     bus.publish("rtseed.discard", task=task.name,
                                 job=job_index, tid=thread.tid,
                                 n_parts=task.n_parallel)
 
             probe.windup_start = yield GetTime()
-            if bus.active:
+            if bus.want_rtseed:
                 bus.publish("rtseed.windup_begin", task=task.name,
                             job=job_index, tid=thread.tid,
                             delta_e=probe.delta_e)
             yield from task.exec_windup(ctx)
             probe.windup_end = yield GetTime()
             probe.results = ctx.collect()
-            if bus.active:
+            if bus.want_rtseed:
                 bus.publish(
                     "rtseed.windup_end", task=task.name,
                     job=job_index, tid=thread.tid,
@@ -398,7 +398,7 @@ class RealTimeProcess:
 
                 probe = self.probes[job_index]
                 probe.optional_start[part_index] = yield GetTime()
-                if bus.active:
+                if bus.want_rtseed:
                     bus.publish("rtseed.optional_begin", task=task.name,
                                 part=part_index, job=job_index,
                                 tid=thread.tid)
@@ -415,7 +415,7 @@ class RealTimeProcess:
                         False, probe.optional_start[part_index], now)
                 probe.optional_end[part_index] = outcome.ended_at
                 probe.optional_fate[part_index] = outcome.fate
-                if bus.active:
+                if bus.want_rtseed:
                     bus.publish(
                         "rtseed.optional_end", task=task.name,
                         part=part_index, job=job_index, tid=thread.tid,

@@ -121,7 +121,7 @@ class OverrunWatchdog:
         now = kernel.engine.now
         self.fired.append((job_index, part_index, now))
         bus = kernel.probes
-        if bus.active:
+        if bus.want_degrade:
             bus.publish("degrade.watchdog_fire", task=process.task.name,
                         job=job_index, part=part_index,
                         overrun=now - od_abs)
@@ -182,13 +182,13 @@ class DegradedModeController:
             if not self.degraded and count >= self.enter_after:
                 self.degraded = True
                 self._entered_at = now
-                if self.probes is not None and self.probes.active:
+                if self.probes is not None and self.probes.want_degrade:
                     self.probes.publish("degrade.enter", task=task_name,
                                         consecutive_misses=count)
         if self.degraded and self._consecutive_met >= self.exit_after:
             self.degraded = False
             self.episodes.append((self._entered_at, now))
-            if self.probes is not None and self.probes.active:
+            if self.probes is not None and self.probes.want_degrade:
                 self.probes.publish(
                     "degrade.exit",
                     recovery_latency=now - self._entered_at,

@@ -55,7 +55,7 @@ class OptionalOutcome:
 
 def _publish_outcome(probes, strategy, outcome, od_abs):
     """Publish one part's fate on the bus (no-op when unobserved)."""
-    if probes is None or not probes.active:
+    if probes is None or not probes.want_termination:
         return
     if outcome.completed:
         probes.publish(
@@ -91,8 +91,8 @@ class TerminationStrategy:
         completes or the strategy terminates it at ``od_abs``.
 
         :param probes: optional :class:`repro.obs.bus.ProbeBus`; when
-            active, the outcome is published as a ``termination.*``
-            event.
+            an observer wants the ``termination`` family, the outcome
+            is published as a ``termination.*`` event.
         """
         raise NotImplementedError
 

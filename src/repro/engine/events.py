@@ -91,8 +91,9 @@ class Engine:
         self._compactions = 0
         self._swept_total = 0
         #: optional :class:`repro.obs.bus.ProbeBus` (duck-typed — the
-        #: engine stays import-free).  Sites guard on ``probes.active``
-        #: so an unobserved engine pays one attribute test per event.
+        #: engine stays import-free).  Sites guard on
+        #: ``probes.want_engine`` so an unobserved engine pays one
+        #: attribute test per event.
         self.probes = None
 
     @property
@@ -224,7 +225,7 @@ class Engine:
         self._compactions += 1
         self._swept_total += swept
         probes = self.probes
-        if probes is not None and probes.active:
+        if probes is not None and probes.want_engine:
             probes.publish("engine.compact", swept=swept,
                            survivors=len(survivors))
 
@@ -258,7 +259,7 @@ class Engine:
             self.now = event.time
             self._events_processed += 1
             probes = self.probes
-            if probes is not None and probes.active:
+            if probes is not None and probes.want_engine:
                 probes.publish("engine.event_pop", priority=event.priority,
                                seq=event.seq)
             event.callback()

@@ -76,8 +76,8 @@ class FastEngine:
         self._compactions = 0
         self._swept_total = 0
         #: optional probe bus (duck-typed), same contract as the
-        #: reference engine — but :meth:`run` samples ``probes.active``
-        #: once at entry instead of per event.
+        #: reference engine — but :meth:`run` samples
+        #: ``probes.want_engine`` once at entry instead of per event.
         self.probes = None
 
     @property
@@ -192,7 +192,7 @@ class FastEngine:
         self._compactions += 1
         self._swept_total += swept
         probes = self.probes
-        if probes is not None and probes.active:
+        if probes is not None and probes.want_engine:
             probes.publish("engine.compact", swept=swept,
                            survivors=len(survivors))
 
@@ -224,7 +224,7 @@ class FastEngine:
             self.now = record[0]
             self._events_processed += 1
             probes = self.probes
-            if probes is not None and probes.active:
+            if probes is not None and probes.want_engine:
                 probes.publish("engine.event_pop", priority=record[1],
                                seq=record[2])
             record[3]()
@@ -236,7 +236,7 @@ class FastEngine:
 
         Semantically identical to the reference ``run`` (same stop
         conditions, same return value) but with one heap inspection per
-        event and the probe decision hoisted: ``probes.active`` is
+        event and the probe decision hoisted: ``probes.want_engine`` is
         sampled once at entry and rebound after every callback batch
         boundary is *not* needed because subscription happens before
         running (documented bus contract).
@@ -246,7 +246,7 @@ class FastEngine:
         heappop = _heappop
         probes = self.probes
         emit = probes.publish \
-            if probes is not None and probes.active else None
+            if probes is not None and probes.want_engine else None
         if until is None and max_events is None and emit is None:
             # run-to-completion with an idle bus: the tightest loop
             while heap:

@@ -80,7 +80,7 @@ class FastLevelQueue:
         if level_len > self._level_peaks[prio]:
             self._level_peaks[prio] = level_len
         probes = self.probes
-        if probes is not None and probes.active:
+        if probes is not None and probes.want_rq:
             probes.publish("rq.enqueue", cpu=self.cpu_id, prio=prio,
                            depth=self._count)
 
@@ -94,7 +94,7 @@ class FastLevelQueue:
             self._bits &= ~(1 << prio)
         self._count -= 1
         probes = self.probes
-        if probes is not None and probes.active:
+        if probes is not None and probes.want_rq:
             probes.publish("rq.dequeue", cpu=self.cpu_id, prio=prio,
                            depth=self._count)
 
@@ -120,7 +120,7 @@ class FastLevelQueue:
             self._bits = bits & ~(1 << prio)
         self._count -= 1
         probes = self.probes
-        if probes is not None and probes.active:
+        if probes is not None and probes.want_rq:
             probes.publish("rq.pop", cpu=self.cpu_id, prio=prio,
                            depth=self._count)
         return item, prio

@@ -93,7 +93,7 @@ class HeapReadyQueue:
         if len(self._live) > self._peak_depth:
             self._peak_depth = len(self._live)
         probes = self.probes
-        if probes is not None and probes.active:
+        if probes is not None and probes.want_rq:
             probes.publish("rq.enqueue", cpu=self.cpu_id,
                            depth=len(self._live))
 
@@ -104,7 +104,7 @@ class HeapReadyQueue:
         self._removed += 1
         self._maybe_compact()
         probes = self.probes
-        if probes is not None and probes.active:
+        if probes is not None and probes.want_rq:
             probes.publish("rq.dequeue", cpu=self.cpu_id,
                            depth=len(self._live))
 
@@ -150,7 +150,7 @@ class HeapReadyQueue:
         _key, _seq, item = heapq.heappop(self._heap)
         del self._live[id(item)]
         probes = self.probes
-        if probes is not None and probes.active:
+        if probes is not None and probes.want_rq:
             probes.publish("rq.pop", cpu=self.cpu_id,
                            depth=len(self._live))
         return item
@@ -377,7 +377,7 @@ class IndexedLevelQueue:
         if level_len > self._level_peaks[prio]:
             self._level_peaks[prio] = level_len
         probes = self.probes
-        if probes is not None and probes.active:
+        if probes is not None and probes.want_rq:
             probes.publish("rq.enqueue", cpu=self.cpu_id, prio=prio,
                            depth=self._count)
 
@@ -390,7 +390,7 @@ class IndexedLevelQueue:
             self._bitmap.clear(prio)
         self._count -= 1
         probes = self.probes
-        if probes is not None and probes.active:
+        if probes is not None and probes.want_rq:
             probes.publish("rq.dequeue", cpu=self.cpu_id, prio=prio,
                            depth=self._count)
 
@@ -414,7 +414,7 @@ class IndexedLevelQueue:
             self._bitmap.clear(prio)
         self._count -= 1
         probes = self.probes
-        if probes is not None and probes.active:
+        if probes is not None and probes.want_rq:
             probes.publish("rq.pop", cpu=self.cpu_id, prio=prio,
                            depth=self._count)
         return item, prio

@@ -214,8 +214,8 @@ def farm_map(task, items, n_workers=1, heartbeat=DEFAULT_HEARTBEAT,
     result = FarmResult(len(items))
     clock = _SeqClock()
     bus = ProbeBus(clock=clock)
-    recorder = FlightRecorder(dump_dir=flight_dir,
-                              seed=flight_seed).wire_bus(bus)
+    recorder = FlightRecorder(dump_dir=flight_dir, seed=flight_seed)
+    recorder.wire_bus(bus, topics=("farm.*",))
 
     def publish(topic, **data):
         clock.now += 1

@@ -313,11 +313,12 @@ def run_scenario(name, n_seconds=30, seed=0, flight_dir=None,
                  profile=None, _sabotage=None, engine=None):
     """Run one canned scenario; returns its (JSON-ready) report dict.
 
-    :param flight_dir: when set, a
-        :class:`~repro.obs.flightrec.FlightRecorder` rides along
-        passively and dumps its ring into this directory at every
-        failure edge (invariant violation, degraded-mode entry,
-        watchdog fire).
+    :param flight_dir: when set, the scenario's
+        :class:`~repro.obs.flightrec.FlightRecorder` observes its
+        ``FLIGHT_TOPICS`` actively and dumps its ring into this
+        directory at every failure edge (invariant violation,
+        degraded-mode entry, watchdog fire); without it the recorder
+        rides along passively.
     :param profile: optional
         :class:`~repro.obs.profile.WallClockProfile` — setup and run
         are timed under ``faults.<scenario>.setup`` / ``.run``.

@@ -105,7 +105,7 @@ class FaultInjector:
         self.counts[site] = self.counts.get(site, 0) + 1
         if self.kernel is not None:
             bus = self.kernel.probes
-            if bus.active:
+            if bus.want_fault:
                 bus.publish("fault." + site, **payload)
             check_kernel_invariants(self.kernel)
 

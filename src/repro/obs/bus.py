@@ -9,18 +9,28 @@ any number of them coexist on one run (the single-callback
 
 Design constraints, in order:
 
-1. **Near-zero cost when idle.**  Probe sites guard on the single
-   attribute read ``bus.active`` (kept in sync by subscribe /
-   unsubscribe), so an unobserved run pays one boolean test per site
-   and never builds a payload.
+1. **Observation pays only for what someone reads.**  Every topic
+   belongs to a *family* (the part before the first dot: ``kernel``,
+   ``rq``, ``engine``, ``rtseed`` ...), and the bus keeps one demand
+   flag per family, ``want_<family>``, true iff some *non-passive*
+   subscriber's filter matches a :data:`PROBE_SITES` topic of that
+   family.  Probe sites guard on their family's flag — one attribute
+   read — so an unobserved run, or a run whose observers ignore a
+   family, never builds those payloads.  Passive subscribers create no
+   demand: they ride along on the topics the active ones ask for.
 2. **Simulated-time stamping.**  The bus stamps every event with
    ``clock.now`` at publish, so probe sites never thread timestamps
    through and data-structure layers (ready queues) that have no clock
    of their own still emit correctly stamped events.
 3. **Deterministic fan-out.**  Subscribers are called in subscription
-   order; payloads are plain dicts of JSON-serializable values (names,
-   tids, numbers — never live objects), which is what makes exported
-   traces of a deterministic run byte-reproducible.
+   order through a per-topic route cache (topic -> tuple of
+   subscribers, rebuilt on every subscribe / unsubscribe); payloads are
+   plain dicts of JSON-serializable values (names, tids, numbers —
+   never live objects), which is what makes exported traces of a
+   deterministic run byte-reproducible.  Each payload is a fresh
+   keyword dict shared by every subscriber of that event, and no
+   subscriber in the tree mutates one, so recorders keep the dict as
+   is instead of copying it.
 
 Topic names are dotted, ``<layer>.<event>`` (``kernel.dispatch``,
 ``rtseed.job_done``); subscriptions filter by exact topic or by a
@@ -218,6 +228,12 @@ PROBE_SITES = {
 }
 
 
+#: Topic families with a demand flag (``ProbeBus.want_<family>``): the
+#: families of every documented probe site.
+FAMILIES = tuple(sorted({topic.partition(".")[0]
+                         for topic in PROBE_SITES}))
+
+
 def _make_matcher(topics):
     """Compile a topic filter into a fast ``matcher(topic) -> bool``.
 
@@ -246,6 +262,13 @@ def _make_matcher(topics):
     return matcher
 
 
+def _demanded_families(matcher):
+    """Families with at least one documented probe site the compiled
+    filter ``matcher`` matches (``None`` matches everything)."""
+    return {topic.partition(".")[0] for topic in PROBE_SITES
+            if matcher is None or matcher(topic)}
+
+
 class ProbeBus:
     """Fan-out of probe events to any number of subscribers.
 
@@ -254,27 +277,23 @@ class ProbeBus:
         ``0.0`` (useful for unit tests of pure data structures).
     """
 
-    __slots__ = ("active", "_clock", "_subs", "_passive", "published",
-                 "flight")
+    __slots__ = ("active", "_clock", "_subs", "_routes", "published",
+                 "flight") + tuple("want_" + family for family in FAMILIES)
 
     def __init__(self, clock=None):
-        #: True iff at least one *non-passive* subscriber is attached.
-        #: Probe sites read this *attribute* (not a property — keep the
-        #: idle path to one LOAD_ATTR) before building any payload.
-        self.active = False
         self._clock = clock
+        #: ``(fn, matcher, families)`` per subscriber in subscription
+        #: order; ``families`` is ``None`` for a passive subscriber.
         self._subs = []
-        #: ids of passive subscribers — attached but not counted toward
-        #: :attr:`active`, so they ride along for free whenever a real
-        #: observer activates the bus (see
-        #: :class:`repro.obs.flightrec.FlightRecorder`).
-        self._passive = set()
+        #: topic -> tuple of matching subscribers (the route cache).
+        self._routes = {}
         #: events fanned out so far (diagnostics).
         self.published = 0
         #: the attached :class:`~repro.obs.flightrec.FlightRecorder`,
         #: if any — failure edges (invariant checks, check divergences)
         #: discover the recorder through the bus they already hold.
         self.flight = None
+        self._refresh()
 
     @property
     def clock(self):
@@ -287,49 +306,74 @@ class ProbeBus:
     def __len__(self):
         return len(self._subs)
 
+    def _refresh(self):
+        """Drop the route cache and recompute the demand flags.
+
+        Probe sites read ``active`` and ``want_<family>`` as plain
+        *attributes* (not properties — keep the idle path to one
+        LOAD_ATTR) before building any payload.
+        """
+        self._routes = {}
+        demanded = set()
+        active = False
+        for _fn, _matcher, families in self._subs:
+            if families is not None:
+                active = True
+                demanded |= families
+        #: True iff at least one *non-passive* subscriber is attached.
+        self.active = active
+        for family in FAMILIES:
+            setattr(self, "want_" + family, family in demanded)
+
+    def _route(self, topic):
+        route = tuple(fn for fn, matcher, _families in self._subs
+                      if matcher is None or matcher(topic))
+        self._routes[topic] = route
+        return route
+
     def subscribe(self, fn, topics=None, passive=False):
         """Attach ``fn(topic, time, data)``; returns ``fn`` for chaining.
 
         :param topics: iterable of exact topic names and/or ``"layer.*"``
             prefix patterns; ``None`` subscribes to everything.
-        :param passive: a passive subscriber does not flip
-            :attr:`active`, so probe sites keep skipping payload
-            construction until a real observer attaches — it receives
-            exactly the events the active observers cause to be
-            published.  This is the flight recorder's always-on,
-            zero-steady-state-cost mode.
+        :param passive: a passive subscriber creates no demand: it
+            flips neither :attr:`active` nor any ``want_<family>``
+            flag, so probe sites keep skipping payload construction
+            until a real observer asks for the family — it receives
+            exactly the matching events the active observers cause to
+            be published (plus any published directly).  This is the
+            flight recorder's always-on, zero-steady-state-cost mode.
         """
-        if any(sub_fn is fn for sub_fn, _ in self._subs):
+        if any(sub_fn is fn for sub_fn, _, _ in self._subs):
             raise ValueError(f"{fn!r} already subscribed")
-        self._subs.append((fn, _make_matcher(topics)))
-        if passive:
-            self._passive.add(id(fn))
-        else:
-            self.active = True
+        matcher = _make_matcher(topics)
+        self._subs.append((fn, matcher,
+                           None if passive else _demanded_families(matcher)))
+        self._refresh()
         return fn
 
     def unsubscribe(self, fn):
         """Detach a subscriber; unknown subscribers are a no-op."""
         self._subs = [entry for entry in self._subs if entry[0] is not fn]
-        self._passive.discard(id(fn))
-        self.active = any(
-            id(sub_fn) not in self._passive for sub_fn, _ in self._subs
-        )
+        self._refresh()
 
     def publish(self, topic, **data):
-        """Stamp and fan out one probe event.
+        """Stamp and fan out one probe event to every subscriber whose
+        filter matches ``topic``, passive ones included.
 
         No-op without subscribers — but call sites should still guard on
-        :attr:`active` so the keyword payload is never even built.
+        their family's ``want_<family>`` flag so the keyword payload is
+        never even built.
         """
-        subs = self._subs
-        if not subs:
+        if not self._subs:
             return
+        route = self._routes.get(topic)
+        if route is None:
+            route = self._route(topic)
         time = self._clock.now if self._clock is not None else 0.0
         self.published += 1
-        for fn, matcher in subs:
-            if matcher is None or matcher(topic):
-                fn(topic, time, data)
+        for fn in route:
+            fn(topic, time, data)
 
     def __repr__(self):
         return (

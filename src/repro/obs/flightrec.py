@@ -8,14 +8,21 @@ one deterministic JSONL artifact: a header, a kernel state summary
 (per-CPU running thread, ready-queue depths, pending timers, degraded
 flag), then the recorded events oldest-first.
 
-The recorder is *always-on by design*: it subscribes to the
-:class:`~repro.obs.bus.ProbeBus` **passively** (``passive=True``), so
-it never flips ``bus.active`` — probe sites keep skipping payload
-construction entirely until a real observer (tracer, metrics, campaign
-counter, check runner) activates the bus, at which point the recorder
-rides along on the events those observers cause to be published.  This
-is the same hoisting discipline ``FastEngine.run`` applies: an idle bus
-costs nothing, on either backend.
+The ring holds the forensic families only, :data:`FLIGHT_TOPICS`
+(kernel lifecycle, RT-Seed protocol, termination, faults, degradation,
+trading) — never the per-event ``engine.*`` pops or ``rq.*`` queue
+operations, which would crowd the kernel lifecycle out of the ring.
+
+The recorder is *always-on by design*.  Without a ``dump_dir`` it
+subscribes to the :class:`~repro.obs.bus.ProbeBus` **passively**
+(``passive=True``), so it creates no demand — probe sites keep
+skipping payload construction entirely until a real observer (tracer,
+metrics, campaign counter, check runner) asks for a family, at which
+point the recorder rides along on those of its topics the observers
+cause to be published.  An idle bus costs nothing, on either backend.
+With a ``dump_dir`` the user asked for dumps, so the recorder is an
+*active* observer of :data:`FLIGHT_TOPICS` and every dump carries the
+kernel lifecycle whatever else is attached.
 
 Failure edges that dump automatically:
 
@@ -37,11 +44,20 @@ import json
 import os
 from collections import deque
 
+from repro.obs.bus import _make_matcher
+
 #: Dump artifact schema tag (header line ``schema`` field).
 FLIGHTREC_SCHEMA = "rtseed-flightrec/1"
 
 #: Default ring capacity (events retained).
 DEFAULT_CAPACITY = 512
+
+#: Topic filter of the recorder's bus subscription: what the ring holds.
+FLIGHT_TOPICS = frozenset({"kernel.*", "rtseed.*", "termination.*",
+                           "fault.*", "degrade.*", "trading.*"})
+
+#: ``is_flight_topic(topic)``: does :data:`FLIGHT_TOPICS` match it?
+is_flight_topic = _make_matcher(FLIGHT_TOPICS)
 
 #: Topics whose arrival triggers an automatic dump when a ``dump_dir``
 #: is configured — the resilience layer's own failure edges.
@@ -112,7 +128,8 @@ class FlightRecorder:
 
     :param capacity: events retained (oldest dropped first).
     :param dump_dir: directory for automatic dumps; ``None`` keeps
-        snapshots in memory only (callers dump explicitly).
+        snapshots in memory only (callers dump explicitly) and keeps
+        the subscription passive.
     :param seed: workload seed stamped into every dump header.
     """
 
@@ -133,6 +150,8 @@ class FlightRecorder:
         self._ring = deque(maxlen=capacity)
         self._kernel = None
         self._bus = None
+        # one pinned bound method: the bus unsubscribes by identity
+        self._subscription = self._on_event
 
     @classmethod
     def attach(cls, kernel, capacity=DEFAULT_CAPACITY, dump_dir=None,
@@ -142,19 +161,22 @@ class FlightRecorder:
         return recorder.wire(kernel)
 
     def wire(self, kernel):
-        """Subscribe passively to the kernel's bus and register as its
+        """Subscribe to the kernel's bus and register as its
         ``probes.flight`` recorder; returns ``self``."""
         self._kernel = kernel
         return self.wire_bus(kernel.probes)
 
-    def wire_bus(self, bus):
-        """Subscribe passively to a bare :class:`~repro.obs.bus.\
-ProbeBus` with no kernel behind it; returns ``self``.
+    def wire_bus(self, bus, topics=FLIGHT_TOPICS):
+        """Subscribe to ``topics`` on ``bus`` — passively unless a
+        ``dump_dir`` is configured — and register as its
+        ``probes.flight`` recorder; returns ``self``.
 
-        Used by publishers that own their event stream outright — the
-        scenario farm records its ``farm.*`` lifecycle this way.  Dumps
-        carry ``null`` in place of the kernel state summary."""
-        bus.subscribe(self._on_event, passive=True)
+        Called bare by publishers that own their event stream outright
+        — the scenario farm records its ``farm.*`` lifecycle this way.
+        Dumps then carry ``null`` in place of the kernel state
+        summary."""
+        bus.subscribe(self._subscription, topics=topics,
+                      passive=self.dump_dir is None)
         bus.flight = self
         self._bus = bus
         return self
@@ -162,7 +184,7 @@ ProbeBus` with no kernel behind it; returns ``self``.
     def detach(self):
         """Unsubscribe and unregister (mainly for tests)."""
         if self._bus is not None:
-            self._bus.unsubscribe(self._on_event)
+            self._bus.unsubscribe(self._subscription)
             if self._bus.flight is self:
                 self._bus.flight = None
             self._bus = None
@@ -234,7 +256,7 @@ ProbeBus` with no kernel behind it; returns ``self``.
                 handle.write(json.dumps(event, sort_keys=True) + "\n")
         self.dumps.append(path)
         bus = self._bus
-        if bus is not None and bus.active:
+        if bus is not None and bus.want_flightrec:
             bus.publish("flightrec.dump", reason=reason,
                         recorded=document["header"]["recorded"],
                         dropped=document["header"]["dropped"],

@@ -20,9 +20,12 @@ docs/FARM.md "Full-topology sweeps").
 
 from repro.scale.campaign import (
     MAX_RECORDED_FAILURES,
+    MAX_TASKS_PER_CORE,
     SCALE_SCHEMA,
     SCALE_SWEEP_SCHEMA,
     campaign_items,
+    check_task_count,
+    failure_summary,
     farm_scale,
     farm_scale_sweep,
     merge_scale_results,
@@ -33,9 +36,12 @@ from repro.scale.campaign import (
 
 __all__ = [
     "MAX_RECORDED_FAILURES",
+    "MAX_TASKS_PER_CORE",
     "SCALE_SCHEMA",
     "SCALE_SWEEP_SCHEMA",
     "campaign_items",
+    "check_task_count",
+    "failure_summary",
     "farm_scale",
     "farm_scale_sweep",
     "merge_scale_results",

@@ -21,7 +21,9 @@ document.
 """
 
 import json
+from collections import Counter
 
+from repro.engine.classes import RTQ_RANGE
 from repro.farm.core import DEFAULT_HEARTBEAT, DEFAULT_RETRIES, farm_map
 
 #: Scale-campaign report document schema tag.
@@ -33,6 +35,11 @@ SCALE_SWEEP_SCHEMA = "rtseed-scale-sweep/1"
 
 #: Violations/crashes kept verbatim in the document (counts are total).
 MAX_RECORDED_FAILURES = 10
+
+#: Tasks one core can host: every task on a core takes its own level of
+#: the RTQ band by RM rank (Fig. 5), so a larger shard fails with
+#: :class:`~repro.engine.classes.PriorityBandError`.
+MAX_TASKS_PER_CORE = RTQ_RANGE[1] - RTQ_RANGE[0] + 1
 
 
 def shard_task_counts(n_tasks, n_cores):
@@ -48,6 +55,21 @@ def shard_task_counts(n_tasks, n_cores):
         raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
     base, extra = divmod(n_tasks, n_cores)
     return [base + (1 if core < extra else 0) for core in range(n_cores)]
+
+
+def check_task_count(n_tasks, n_cores):
+    """Reject a campaign whose busiest shard exceeds
+    :data:`MAX_TASKS_PER_CORE` — before anything is farmed out to fail
+    in every shard.  Raises :class:`ValueError` naming the limit."""
+    busiest = max(shard_task_counts(n_tasks, n_cores))
+    if busiest > MAX_TASKS_PER_CORE:
+        raise ValueError(
+            f"{n_tasks} task(s) over {n_cores} core(s) puts {busiest} "
+            f"on one core, but the RTQ band {RTQ_RANGE} holds at most "
+            f"{MAX_TASKS_PER_CORE} tasks per core (at most "
+            f"{MAX_TASKS_PER_CORE * n_cores} tasks on {n_cores} "
+            f"core(s))"
+        )
 
 
 def campaign_items(n_cores, threads_per_core, n_tasks, base_seed=0,
@@ -197,6 +219,28 @@ def merge_scale_results(farm_result, params):
         ],
     }
     return document
+
+
+def failure_summary(document):
+    """Failure-first summary lines of a campaign document: completed /
+    errored / quarantined shard counts, then a histogram of error
+    classes (the exception name heading each ``farm_error``).  Empty
+    when every shard completed."""
+    errored = len(document["errors"])
+    quarantined = sum(len(entry["indices"])
+                      for entry in document["quarantined"])
+    if not (errored or quarantined):
+        return []
+    completed = document["completed_shards"]
+    shards = completed + errored + quarantined
+    lines = [f"{completed}/{shards} shard(s) completed, {errored} "
+             f"errored, {quarantined} quarantined"]
+    classes = Counter(entry["error"].partition(":")[0]
+                      for entry in document["errors"])
+    if classes:
+        lines.append("error classes: " + ", ".join(
+            f"{name} x{count}" for name, count in sorted(classes.items())))
+    return lines
 
 
 def farm_scale(n_cores=57, threads_per_core=4, n_tasks=2000, seed=0,

@@ -344,7 +344,7 @@ class ScheduleSimulator:
             return
         job = self._make_job(task, index, release)
         self._jobs.append(job)
-        if self.probes.active:
+        if self.probes.want_sim:
             self.probes.publish("sim.release", task=task.name, job=index,
                                 release=release)
         self._ready.add(self._initial_item(job))
@@ -405,7 +405,7 @@ class ScheduleSimulator:
         record.executed = (
             self._optional_length(item) - max(item.remaining, 0.0)
         )
-        if self.probes.active:
+        if self.probes.want_sim:
             self.probes.publish(
                 "sim.optional_end", task=item.job.task.name,
                 job=item.job.index, part=record.index, fate=fate,
@@ -416,20 +416,20 @@ class ScheduleSimulator:
         probes = self.probes
         if item.part is PartType.WHOLE:
             job.completed = time
-            if probes.active:
+            if probes.want_sim:
                 probes.publish("sim.job_done", task=job.task.name,
                                job=job.index,
                                met=time <= job.deadline + _EPSILON)
         elif item.part is PartType.MANDATORY:
             job.mandatory_completed = time
-            if probes.active:
+            if probes.want_sim:
                 probes.publish("sim.mandatory_end", task=job.task.name,
                                job=job.index)
             if getattr(job, "od_passed_before_mandatory", False):
                 for record in job.optional_parts:
                     record.fate = "discarded"
                     record.ended_at = time
-                if probes.active:
+                if probes.want_sim:
                     probes.publish("sim.discard", task=job.task.name,
                                    job=job.index,
                                    n_parts=len(job.optional_parts))
@@ -447,7 +447,7 @@ class ScheduleSimulator:
         elif item.part is PartType.WINDUP:
             job.windup_completed = time
             job.completed = time
-            if probes.active:
+            if probes.want_sim:
                 probes.publish("sim.windup_end", task=job.task.name,
                                job=job.index)
                 probes.publish("sim.job_done", task=job.task.name,
@@ -631,19 +631,19 @@ class ScheduleSimulator:
                 if item.part is PartType.MANDATORY and \
                         job.mandatory_started is None:
                     job.mandatory_started = time
-                    if probes.active:
+                    if probes.want_sim:
                         probes.publish("sim.mandatory_begin",
                                        task=job.task.name, job=job.index)
                 elif item.part is PartType.WINDUP and \
                         job.windup_started is None:
                     job.windup_started = time
-                    if probes.active:
+                    if probes.want_sim:
                         probes.publish("sim.windup_begin",
                                        task=job.task.name, job=job.index)
                 elif item.part is PartType.OPTIONAL and item.record and \
                         item.record.started_at is None:
                     item.record.started_at = time
-                    if probes.active:
+                    if probes.want_sim:
                         probes.publish("sim.optional_begin",
                                        task=job.task.name, job=job.index,
                                        part=item.record.index)

@@ -274,7 +274,7 @@ class Kernel:
         disposition = thread.signal_handlers.get(signum, SIG_DFL)
         if disposition == SIG_IGN:
             return
-        if self.probes.active:
+        if self.probes.want_kernel:
             self._signal_posted[(thread.tid, signum)] = self.engine.now
             self._emit("signal_post", thread, signum=signum)
         if signum in thread.signal_mask:
@@ -387,7 +387,7 @@ class Kernel:
         if self.on_event is not None:
             self.on_event(name, thread, self.engine.now)
         probes = self.probes
-        if probes.active:
+        if probes.want_kernel:
             probes.publish("kernel." + name, thread=thread.name,
                            tid=thread.tid, cpu=thread.cpu,
                            prio=thread.priority, **extra)
@@ -1013,10 +1013,10 @@ class Kernel:
                     partial(self._timer_expire, timer)
             timer.event = self.engine.schedule_at(expires, expire_cb)
             self.armed_timers.add(timer)
-            if self.probes.active:
+            if self.probes.want_kernel:
                 self._emit("timer_arm", thread, timer=timer.name,
                            at=expires)
-        elif was_armed and self.probes.active:
+        elif was_armed and self.probes.want_kernel:
             self._emit("timer_disarm", thread, timer=timer.name)
         return self._charge_syscall_cost(thread, cost)
 
@@ -1053,7 +1053,7 @@ class Kernel:
                     f"priority {request.priority} outside FIFO range"
                 )
             thread.priority = request.priority
-        if self.probes.active:
+        if self.probes.want_kernel:
             # priority-band transitions (HPQ/RTQ/NRTQ) are derived from
             # these by the metrics/export layers
             self._emit("setscheduler", thread, old_prio=old_prio,

@@ -124,7 +124,7 @@ class TradingTask(Task):
                     f"fetch (job {ctx.job_index}): {reason}"
                 )
             backoff = policy.next_backoff(attempt)
-            if bus is not None and bus.active:
+            if bus is not None and bus.want_trading:
                 bus.publish("trading.fetch_retry", job=ctx.job_index,
                             attempt=attempt, backoff=backoff)
             yield ClockNanosleep(now + backoff)
@@ -195,7 +195,7 @@ class TradingTask(Task):
                     self.broker_failures.append((ctx.job_index,
                                                  str(error)))
                     bus = self.probes
-                    if bus is not None and bus.active:
+                    if bus is not None and bus.want_trading:
                         bus.publish("trading.broker_error",
                                     job=ctx.job_index,
                                     side=side.name.lower(),
@@ -203,7 +203,7 @@ class TradingTask(Task):
                     order = None
         self.decisions.append((ctx.job_index, decision, order))
         bus = self.probes
-        if bus is not None and bus.active:
+        if bus is not None and bus.want_trading:
             bus.publish("trading.decision", job=ctx.job_index,
                         kind=decision.kind.name.lower(),
                         confidence=decision.confidence)

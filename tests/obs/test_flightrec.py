@@ -11,6 +11,7 @@ from repro.obs.flightrec import (
     DEFAULT_CAPACITY,
     FLIGHTREC_SCHEMA,
     FlightRecorder,
+    is_flight_topic,
     kernel_state_summary,
 )
 
@@ -254,3 +255,40 @@ def test_seeded_runs_snapshot_identically():
         return recorder.snapshot("end_of_run")
 
     assert one_run() == one_run()
+
+
+def _fig10_middleware():
+    from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
+
+    middleware = RTSeed(seed=0)
+    middleware.add_task(make_eval_task(2), n_jobs=1, cpu=0,
+                        policy="one_by_one",
+                        optional_deadline=OPTIONAL_DEADLINE)
+    return middleware
+
+
+def test_ring_holds_only_flight_topics():
+    """A catch-all observer publishes every family, but the ring keeps
+    the kernel lifecycle, never the engine pops or queue operations."""
+    middleware = _fig10_middleware()
+    recorder = FlightRecorder.attach(middleware.kernel, capacity=10_000)
+    middleware.probes.subscribe(lambda topic, time, data: None)
+    middleware.run()
+    topics = {event["topic"] for event in recorder.events()}
+    assert all(is_flight_topic(topic) for topic in topics)
+    assert any(topic.startswith("kernel.") for topic in topics)
+    assert not is_flight_topic("engine.event_pop")
+    assert not is_flight_topic("rq.enqueue")
+
+
+def test_dump_dir_makes_the_recorder_an_active_observer(tmp_path):
+    middleware = _fig10_middleware()
+    bus = middleware.probes
+    recorder = FlightRecorder.attach(middleware.kernel,
+                                     dump_dir=str(tmp_path))
+    assert bus.active and bus.want_kernel and bus.want_rtseed
+    assert not (bus.want_engine or bus.want_rq)
+    middleware.run()
+    assert recorder.recorded > 0  # no other observer was attached
+    recorder.detach()
+    assert not bus.active

@@ -292,3 +292,57 @@ def test_scale_command_rejects_oversized_topology():
     code, output = run_cli(["scale", "--cores", "99"])
     assert code == 2
     assert "subset" in output
+
+
+def test_scale_command_rejects_too_many_tasks_per_core():
+    # 99 tasks over 2 cores puts 50 on core 0: one past the RTQ band
+    code, output = run_cli([
+        "scale", "--cores", "2", "--threads-per-core", "2",
+        "--tasks", "99",
+    ])
+    assert code == 2
+    assert "at most 49 tasks per core" in output
+    assert "farm:" not in output  # rejected before anything is farmed
+
+
+def test_scale_command_accepts_full_rtq_band(tmp_path):
+    code, output = run_cli([
+        "scale", "--cores", "1", "--threads-per-core", "2",
+        "--tasks", "49", "--out", str(tmp_path / "report.json"),
+    ])
+    assert code == 0
+    assert "1/1 item(s)" in output
+
+
+def test_scale_summary_leads_with_failed_shards(monkeypatch, tmp_path):
+    """The planted >49-tasks failure, farmed through the library (the
+    CLI itself rejects it up front): the summary leads with the shard
+    counts and the error-class histogram."""
+    from repro.scale import failure_summary, farm_scale
+
+    document, _ = farm_scale(n_cores=2, threads_per_core=2,
+                             n_tasks=2 * 50)
+    assert failure_summary(document) == [
+        "0/2 shard(s) completed, 2 errored, 0 quarantined",
+        "error classes: PriorityBandError x2",
+    ]
+
+    monkeypatch.setattr("repro.scale.check_task_count",
+                        lambda n_tasks, n_cores: None)
+    code, output = run_cli([
+        "scale", "--cores", "2", "--threads-per-core", "2",
+        "--tasks", "100", "--out", str(tmp_path / "report.json"),
+    ])
+    assert code == 1
+    lines = [line for line in output.splitlines()
+             if line.startswith("scale:")]
+    assert lines[0] == ("scale: 0/2 shard(s) completed, 2 errored, "
+                        "0 quarantined")
+    assert lines[1] == "scale: error classes: PriorityBandError x2"
+
+
+def test_scale_summary_silent_when_every_shard_completes():
+    from repro.scale import failure_summary, farm_scale
+
+    document, _ = farm_scale(n_cores=2, threads_per_core=2, n_tasks=8)
+    assert failure_summary(document) == []

@@ -6,14 +6,16 @@ Three checks (all seeded, CI-friendly):
    scenario with a sabotage callback that corrupts a ready queue
    mid-run and calls the invariant checker; the run must die with
    ``InvariantViolationError`` and leave a flight-recorder dump in the
-   ``--flight-dir``.
+   ``--flight-dir`` that holds the kernel lifecycle (``kernel.*``
+   events) and no ``engine.event_pop`` noise.
 2. **Byte determinism** — the same planted run executed twice must
    write byte-identical dumps (the artifact is a function of the seed,
    nothing else).
 3. **Tail parity** — a quick fig10 workload runs on *both* engine
    backends with an activating subscriber; the fast backend carries a
    flight recorder, and its ring tail must equal the canonical tail of
-   the reference backend's full probe stream for the same seed.
+   the reference backend's full probe stream for the same seed,
+   filtered to the recorder's ``FLIGHT_TOPICS``.
 
 Usage::
 
@@ -22,6 +24,7 @@ Usage::
 """
 
 import argparse
+import json
 import os
 import sys
 import tempfile
@@ -78,12 +81,28 @@ def planted_run(flight_dir, n_seconds, seed):
     return None
 
 
+def dump_topics(path):
+    """Topics of a dump's recorded events, oldest-first."""
+    with open(path) as handle:
+        return [json.loads(line)["topic"]
+                for line in handle.read().splitlines()[2:]]
+
+
 def check_planted(flight_dir, n_seconds, seed):
-    """Checks 1+2: the planted run dumps, twice, byte-identically."""
+    """Checks 1+2: the planted run dumps, twice, byte-identically, and
+    the dumps carry the kernel lifecycle."""
     os.makedirs(flight_dir, exist_ok=True)
     dumps = planted_run(flight_dir, n_seconds, seed)
     if dumps is None:
         return False
+    for name in dumps:
+        topics = dump_topics(os.path.join(flight_dir, name))
+        if not any(topic.startswith("kernel.") for topic in topics):
+            print(f"FAIL: {name} holds no kernel.* events")
+            return False
+        if "engine.event_pop" in topics:
+            print(f"FAIL: {name} holds engine.event_pop events")
+            return False
     with tempfile.TemporaryDirectory() as second_dir:
         second = planted_run(second_dir, n_seconds, seed)
         if second is None:
@@ -134,7 +153,10 @@ def _observed_run(engine, n_jobs, with_recorder):
 
 
 def check_tail_parity(n_jobs):
-    """Check 3: fast-backend ring tail == reference stream tail."""
+    """Check 3: fast-backend ring tail == the tail of the reference
+    stream's flight topics."""
+    from repro.obs.flightrec import is_flight_topic
+
     reference_stream, _ = _observed_run("reference", n_jobs,
                                         with_recorder=False)
     fast_stream, recorder = _observed_run("fast", n_jobs,
@@ -143,8 +165,15 @@ def check_tail_parity(n_jobs):
         print(f"FAIL: probe streams diverge between backends "
               f"({len(reference_stream)} vs {len(fast_stream)} events)")
         return False
+    flight_stream = [event for event in reference_stream
+                     if is_flight_topic(event[0])]
     tail = recorder.tail()
-    expected = reference_stream[-len(tail):]
+    if recorder.recorded != len(flight_stream):
+        print(f"FAIL: recorder saw {recorder.recorded} events, the "
+              f"reference stream holds {len(flight_stream)} flight "
+              f"events")
+        return False
+    expected = flight_stream[-len(tail):]
     if tail != expected:
         for index, (got, want) in enumerate(zip(tail, expected)):
             if got != want:

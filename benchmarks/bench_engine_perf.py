@@ -6,7 +6,8 @@ JSON blob suitable for committing as ``BENCH_engine.json``:
 * ``fig10_mandatory`` — the Section V-A workload behind
   ``bench_fig10_mandatory.py``: one task, parallel optional parts, run
   through the middleware on the simulated kernel.  Reported as kernel
-  events/sec (``Engine.events_processed`` over wall time).
+  events/sec (``Engine.events_processed`` over wall time); trajectory
+  entries also record wall milliseconds per simulated job.
 * ``ablation_schedulability`` — the acceptance-ratio ablation from
   ``bench_ablation_schedulability.py`` (analysis-only): task sets/sec.
 * ``sched_simulator`` — the theory-level ``ScheduleSimulator`` on a
@@ -36,16 +37,18 @@ Usage::
     # one-off report to stdout
     PYTHONPATH=src python benchmarks/bench_engine_perf.py [--engine fast]
 
-    # record a per-PR trajectory point (median-of-5 fig10) in
-    # BENCH_engine.json -- appends to the ``history`` list, never
-    # overwrites or rewrites earlier entries
+    # record a per-PR trajectory point (median-of-5 fig10 wall time
+    # per simulated job, plus events/sec) in BENCH_engine.json --
+    # appends to the ``history`` list, never overwrites or rewrites
+    # earlier entries
     PYTHONPATH=src python benchmarks/bench_engine_perf.py \
         --append BENCH_engine.json --pr my-pr-id --engine fast
 
 ``BENCH_engine.json`` is an append-only trajectory: one entry per PR
 per engine, each a median-of-5 (``--runs``) fig10 measurement with the
-workload seed recorded, so successive PRs can chart events/sec over the
-repo's history without re-running old trees.
+workload seed recorded, so successive PRs can chart wall time per
+simulated job (``tools/bench_report.py`` gates on it) and events/sec
+over the repo's history without re-running old trees.
 """
 
 import argparse
@@ -233,15 +236,25 @@ def bench_simulator():
     return total_jobs, time.perf_counter() - start
 
 
+def _median(values):
+    values = sorted(values)
+    middle = len(values) // 2
+    if len(values) % 2:
+        return values[middle]
+    return (values[middle - 1] + values[middle]) / 2.0
+
+
 def fig10_trajectory_entry(pr, engine=None, runs=5, n_jobs=FIG10_N_JOBS):
     """Median-of-``runs`` fig10 measurement shaped for the
-    ``BENCH_engine.json`` ``history`` list."""
+    ``BENCH_engine.json`` ``history`` list.
+
+    The gated figure is ``wall_ms_per_job`` — median wall time (build
+    plus run) per simulated job, the fixed output; events/sec is kept
+    as a secondary field."""
     samples = [bench_fig10(engine=engine, n_jobs=n_jobs)
                for _ in range(runs)]
     events = samples[0][0]
-    rates = sorted(ev / secs for ev, secs in samples)
-    median = rates[len(rates) // 2] if runs % 2 else \
-        (rates[runs // 2 - 1] + rates[runs // 2]) / 2.0
+    rates = [ev / secs for ev, secs in samples]
     return {
         "pr": pr,
         "engine": engine or "default",
@@ -250,8 +263,11 @@ def fig10_trajectory_entry(pr, engine=None, runs=5, n_jobs=FIG10_N_JOBS):
         "runs": runs,
         "fig10_mandatory": {
             "events": events,
-            "events_per_sec_median": round(median, 1),
-            "events_per_sec_best": round(rates[-1], 1),
+            "wall_ms_per_job": round(
+                _median(secs for _ev, secs in samples) / n_jobs * 1000.0,
+                3),
+            "events_per_sec_median": round(_median(rates), 1),
+            "events_per_sec_best": round(max(rates), 1),
         },
     }
 

@@ -220,8 +220,10 @@ class PracticalRealTimeProcess:
                 task.parts_per_stage,
             )
             self.probes.append(probe)
-            ctx = TaskContext(task, job_index, release,
-                              probe.stage_ods[0], probe.deadline_abs)
+            ctx = TaskContext(
+                task, job_index, release, probe.stage_ods[0],
+                probe.deadline_abs,
+                any_time_termination=self.strategy.any_time_termination)
 
             for phase in range(task.n_phases):
                 probe.mandatory_start.append((yield GetTime()))

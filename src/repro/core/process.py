@@ -274,8 +274,10 @@ class RealTimeProcess:
                             job=job_index, tid=thread.tid,
                             delta_m=probe.delta_m)
 
-            ctx = TaskContext(task, job_index, release,
-                              probe.od_abs, probe.deadline_abs)
+            ctx = TaskContext(
+                task, job_index, release, probe.od_abs,
+                probe.deadline_abs,
+                any_time_termination=self.strategy.any_time_termination)
             try:
                 yield from task.exec_mandatory(ctx)
             except JobAbortError as error:

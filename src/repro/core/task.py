@@ -22,6 +22,9 @@ imprecise-computation contract — a terminated part contributes its
 latest (lower-QoS) published value.
 """
 
+import math
+
+from repro.simkernel.errors import SignalUnwind
 from repro.simkernel.syscalls import Compute, GetCpu, GetTime
 
 
@@ -31,15 +34,21 @@ class TaskContext:
     Wraps the syscall vocabulary for user code and carries the
     publish/collect mailbox connecting optional parts to the wind-up
     part.
+
+    :param any_time_termination: the Table I property of the process's
+        termination strategy — true when an optional part can be cut at
+        any instant (sigsetjmp, try-catch), so the points at which a
+        part yields are unobservable to the strategy.
     """
 
     def __init__(self, task, job_index, release, optional_deadline,
-                 deadline):
+                 deadline, any_time_termination=False):
         self.task = task
         self.job_index = job_index
         self.release = release
         self.optional_deadline = optional_deadline
         self.deadline = deadline
+        self.any_time_termination = any_time_termination
         self._mailbox = {}
         #: free-form per-job scratch space: the mandatory part stashes
         #: inputs (e.g. the fetched market tick) here for the optional
@@ -130,23 +139,40 @@ class WorkloadTask(Task):
     """A synthetic task with fixed part lengths — the evaluation workload.
 
     Section V-A: ``m = 250 ms``, ``o = 1 s`` (every optional part always
-    overruns), ``w = 250 ms``, ``T = 1 s``.  Optional work is issued in
-    ``chunk`` increments so a periodic-check termination strategy has
-    check points; the default chunk is fine enough not to distort the
-    timer-based strategies.
+    overruns), ``w = 250 ms``, ``T = 1 s``.
+
+    ``chunk`` sets two things only: the granularity at which a part
+    publishes its progress (whole chunks finished), and the check points
+    of a periodic-check strategy, which sees the part as one ``Compute``
+    per chunk.  A strategy that can terminate at any instant (sigsetjmp,
+    try-catch; ``ctx.any_time_termination``) cannot observe chunk
+    boundaries, so the part runs as a single ``Compute`` and, if
+    unwound, publishes the progress of the chunks it had finished
+    before delivery — exactly what the chunked loop would have left in
+    the mailbox.
 
     :param mandatory: mandatory WCET (ns).
     :param optional: per-part optional execution time (ns).
     :param windup: wind-up WCET (ns).
+    :param chunk: progress granularity (ns); defaults to
+        ``optional / 100`` (at least 1 ns).
     """
 
     def __init__(self, name, mandatory, optional, windup, period,
                  n_parallel=1, chunk=None):
         super().__init__(name, period, n_parallel=n_parallel)
+        for label, value in (("mandatory", mandatory),
+                             ("optional", optional), ("windup", windup)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name}: {label} must be finite, "
+                                 f"got {value}")
         if mandatory <= 0 or windup <= 0:
             raise ValueError(f"{name}: mandatory/wind-up must be positive")
         if optional < 0:
             raise ValueError(f"{name}: optional must be >= 0")
+        if chunk is not None and not (math.isfinite(chunk) and chunk > 0):
+            raise ValueError(f"{name}: chunk must be a positive finite "
+                             f"duration, got {chunk}")
         self.mandatory = float(mandatory)
         self.optional = float(optional)
         self.windup = float(windup)
@@ -156,17 +182,49 @@ class WorkloadTask(Task):
         yield ctx.compute(self.mandatory, tag="mandatory")
 
     def exec_optional(self, ctx, part_index):
+        tag = f"optional[{part_index}]"
+        if not ctx.any_time_termination:
+            # periodic check: every chunk boundary is a check point
+            remaining = self.optional
+            progress = 0.0
+            chunk = self.chunk
+            publish = ctx.publish
+            while remaining > 0:
+                step = chunk if chunk < remaining else remaining
+                yield Compute(step, tag=tag)
+                remaining -= step
+                progress += step
+                publish(part_index, progress)
+            return
+        if self.optional <= 0:
+            return
+        try:
+            yield Compute(self.optional, tag=tag)
+        except SignalUnwind as unwind:
+            progress = self.chunk_progress(self.optional - unwind.abandoned)
+            if progress > 0:
+                ctx.publish(part_index, progress)
+            raise
+        ctx.publish(part_index, self.chunk_progress())
+
+    def chunk_progress(self, done=None):
+        """Progress the chunked loop publishes once ``done`` ns of the
+        part have run: the sum of the whole chunks that ended strictly
+        before ``done`` (a chunk ending exactly at delivery never got to
+        publish), or of every chunk when ``done`` is ``None``.  The sum
+        is accumulated chunk by chunk, as the loop does, so it is the
+        same float.
+        """
         remaining = self.optional
         progress = 0.0
         chunk = self.chunk
-        tag = f"optional[{part_index}]"
-        publish = ctx.publish
         while remaining > 0:
             step = chunk if chunk < remaining else remaining
-            yield Compute(step, tag=tag)
+            if done is not None and not progress + step < done:
+                break
             remaining -= step
             progress += step
-            publish(part_index, progress)
+        return progress
 
     def exec_windup(self, ctx):
         yield ctx.compute(self.windup, tag="windup")

@@ -9,7 +9,8 @@ surface but swaps the representation for what is fastest in CPython:
 * one :class:`collections.deque` (C-implemented, O(1) at both ends) per
   level — no node allocation, no Python-level pointer surgery;
 * the bitmap inlined as a plain int attribute (``bits.bit_length()-1``
-  is find-highest), saving a method dispatch per operation.
+  is find-highest), saving a method dispatch per operation;
+* levels built on first enqueue, as in the reference queue.
 
 FIFO order within a level, ``at_head`` re-insertion for preempted
 threads, and the ``rq.enqueue`` / ``rq.dequeue`` / ``rq.pop`` probe
@@ -42,13 +43,14 @@ class FastLevelQueue:
         self.cpu_id = cpu_id
         self.min_prio = min_prio
         self.max_prio = max_prio
-        self._levels = [deque() for _ in range(max_prio + 1)]
+        #: prio -> deque, for levels that were ever used
+        self._levels = {}
         self._bits = 0
         self._count = 0
         # depth high-water marks, same telemetry as the reference
         # queue's (see IndexedLevelQueue.counters).
         self._peak_depth = 0
-        self._level_peaks = [0] * (max_prio + 1)
+        self._level_peaks = {}
         #: optional probe bus (duck-typed), as in the reference queue.
         self.probes = None
 
@@ -67,7 +69,10 @@ class FastLevelQueue:
                 yield from levels[prio]
 
     def enqueue(self, item, prio, at_head=False):
-        level = self._levels[prio]
+        level = self._levels.get(prio)
+        if level is None:
+            level = self._levels[prio] = deque()
+            self._level_peaks[prio] = 0
         if at_head:
             level.appendleft(item)
         else:
@@ -85,10 +90,10 @@ class FastLevelQueue:
                            depth=self._count)
 
     def dequeue(self, item, prio):
-        level = self._levels[prio]
         try:
+            level = self._levels[prio]
             level.remove(item)
-        except ValueError:
+        except (KeyError, ValueError):
             raise ReadyQueueError(f"{item!r} not enqueued") from None
         if not level:
             self._bits &= ~(1 << prio)
@@ -134,7 +139,7 @@ class FastLevelQueue:
 
     def items_at(self, prio):
         """Snapshot (list) of items queued at ``prio``, head first."""
-        return list(self._levels[prio])
+        return list(self._levels.get(prio, ()))
 
     def counters(self):
         """JSON-ready depth telemetry, identical shape to
@@ -144,9 +149,8 @@ class FastLevelQueue:
             "depth": self._count,
             "peak_depth": self._peak_depth,
             "level_peaks": {
-                str(prio): peak
-                for prio, peak in enumerate(self._level_peaks)
-                if peak
+                str(prio): self._level_peaks[prio]
+                for prio in sorted(self._level_peaks)
             },
         }
 

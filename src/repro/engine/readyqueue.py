@@ -316,7 +316,9 @@ class IndexedLevelQueue:
     One FIFO :class:`CircularDList` per level plus a
     :class:`PriorityBitmap` for O(1) lookup of the highest non-empty
     level — the structure of the paper's Figure 5 and of Linux's rt
-    scheduling class.
+    scheduling class.  A level's list is built on its first enqueue: a
+    kernel has one queue per CPU and most CPUs only ever see a handful
+    of the 100 levels.
 
     :param min_prio: lowest valid level (inclusive).
     :param max_prio: highest valid level (inclusive).
@@ -327,13 +329,14 @@ class IndexedLevelQueue:
         self.cpu_id = cpu_id
         self.min_prio = min_prio
         self.max_prio = max_prio
-        self._levels = [CircularDList() for _ in range(max_prio + 1)]
+        #: prio -> CircularDList, for levels that were ever used
+        self._levels = {}
         self._bitmap = PriorityBitmap()
         self._count = 0
-        # depth high-water marks: whole queue and per level (telemetry,
-        # see :meth:`counters`); updated on enqueue only.
+        # depth high-water marks: whole queue and per used level
+        # (telemetry, see :meth:`counters`); updated on enqueue only.
         self._peak_depth = 0
-        self._level_peaks = [0] * (max_prio + 1)
+        self._level_peaks = {}
         #: optional probe bus (duck-typed; see :class:`HeapReadyQueue`).
         self.probes = None
 
@@ -364,7 +367,10 @@ class IndexedLevelQueue:
         goes to the tail.
         """
         self._check_prio(prio)
-        level = self._levels[prio]
+        level = self._levels.get(prio)
+        if level is None:
+            level = self._levels[prio] = CircularDList()
+            self._level_peaks[prio] = 0
         if at_head:
             level.push_head(item)
         else:
@@ -384,7 +390,9 @@ class IndexedLevelQueue:
     def dequeue(self, item, prio):
         """Remove a specific item (e.g. a thread killed while ready)."""
         self._check_prio(prio)
-        level = self._levels[prio]
+        level = self._levels.get(prio)
+        if level is None:
+            raise ReadyQueueError(f"{item!r} not in list")
         level.remove(item)
         if not level:
             self._bitmap.clear(prio)
@@ -426,7 +434,8 @@ class IndexedLevelQueue:
     def items_at(self, prio):
         """Snapshot (list) of items queued at ``prio``, head first."""
         self._check_prio(prio)
-        return list(self._levels[prio])
+        level = self._levels.get(prio)
+        return list(level) if level is not None else []
 
     def counters(self):
         """JSON-ready depth telemetry: current depth, the queue-wide
@@ -437,8 +446,7 @@ class IndexedLevelQueue:
             "depth": self._count,
             "peak_depth": self._peak_depth,
             "level_peaks": {
-                str(prio): peak
-                for prio, peak in enumerate(self._level_peaks)
-                if peak
+                str(prio): self._level_peaks[prio]
+                for prio in sorted(self._level_peaks)
             },
         }

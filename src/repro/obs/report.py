@@ -60,10 +60,15 @@ class RunReport:
             "now": kernel.engine.now,
             "counters": kernel.engine.counters(),
         }
+        # only run queues that ever held a thread: on the 228-CPU
+        # Xeon Phi most stay idle, and their zero counters made up most
+        # of a report (``merge`` already tolerates missing labels)
         queues = {}
         for cpu, runqueue in enumerate(kernel.runqueues):
             if hasattr(runqueue, "counters"):
-                queues[f"cpu{cpu}"] = runqueue.counters()
+                counters = runqueue.counters()
+                if counters["peak_depth"] > 0:
+                    queues[f"cpu{cpu}"] = counters
         sections["queues"] = queues
         if metrics is not None:
             registry = getattr(metrics, "registry", metrics)

@@ -132,10 +132,15 @@ class SignalUnwind(BaseException):
     :param forced: True when the unwind was injected by the overrun
         watchdog (:class:`repro.core.resilience.OverrunWatchdog`) rather
         than by an armed timer's signal delivery.
+    :param abandoned: CPU work (ns) of the interrupted ``Compute`` that
+        the unwind discarded — what was left of it at delivery.  A part
+        issued as one ``Compute`` derives its progress from this.
     """
 
-    def __init__(self, signum, restore_mask=True, forced=False):
+    def __init__(self, signum, restore_mask=True, forced=False,
+                 abandoned=0.0):
         super().__init__(f"signal {signum} unwind")
         self.signum = signum
         self.restore_mask = restore_mask
         self.forced = forced
+        self.abandoned = abandoned

@@ -1159,26 +1159,22 @@ class Kernel:
         if disposition.restore_mask:
             thread.signal_mask.discard(signum)
 
-        exception = SignalUnwind(signum, disposition.restore_mask,
-                                 forced=forced)
-
-        if thread.state is ThreadState.RUNNING and thread.is_computing:
+        computing = (thread.state is ThreadState.RUNNING
+                     and thread.is_computing)
+        if computing:
             # Interrupt the compute: remaining optional work is abandoned
             # (the longjmp never returns to it); only handler+unwind cost
             # remains to execute before the exception surfaces.
             self.engine.cancel(thread.completion_event)
             thread.completion_event = None
             self._charge(thread)
-            thread.work_remaining = 0.0
-            thread.latency_remaining = cost
-            thread.resume_exception = exception
-            core = self._cpu_core[thread.cpu]
-            self._recompute_core(core)
-            return
-
-        thread.resume_exception = exception
+        thread.resume_exception = _unwind(thread, signum, disposition,
+                                          forced)
         thread.work_remaining = 0.0
         thread.latency_remaining = cost
+        if computing:
+            self._recompute_core(self._cpu_core[thread.cpu])
+            return
 
         if thread.state is ThreadState.RUNNING:
             # Mid-resume-loop: the loop notices resume_exception next turn.
@@ -1205,6 +1201,23 @@ class Kernel:
                     waiters.remove(entry)
                     break
         thread.blocked_on = None
+
+
+def _unwind(thread, signum, disposition, forced):
+    """The :class:`SignalUnwind` a delivery throws into ``thread``.
+
+    Its ``abandoned`` is the interrupted compute's unfinished work
+    (``work_remaining``, already charged up to now).  An unwind that
+    replaces one still waiting to surface inherits that one's
+    ``abandoned``: the work was zeroed by the first delivery, and the
+    part never ran in between.
+    """
+    abandoned = thread.work_remaining
+    pending = thread.resume_exception
+    if isinstance(pending, SignalUnwind):
+        abandoned += pending.abandoned
+    return SignalUnwind(signum, disposition.restore_mask, forced=forced,
+                        abandoned=abandoned)
 
 
 #: exact-type syscall dispatch (see :meth:`Kernel._handle_syscall`);

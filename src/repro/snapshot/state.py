@@ -132,7 +132,7 @@ def capture_engine(engine):
 def _capture_level_queue(queue):
     levels = {}
     for prio in range(queue.min_prio, queue.max_prio + 1):
-        names = [thread.name for thread in queue._levels[prio]]
+        names = [thread.name for thread in queue.items_at(prio)]
         if names:
             levels[str(prio)] = names
     return {"kind": "levels", "levels": levels}

@@ -52,6 +52,26 @@ def test_workload_task_validation():
         WorkloadTask("bad", 1, 1, 0, 10)
 
 
+@pytest.mark.parametrize("chunk", [-5 * MSEC, 0.0, 0, float("nan"),
+                                   float("inf"), -float("inf")])
+def test_workload_task_rejects_bad_chunk_at_construction(chunk):
+    """A negative chunk used to fail only mid-run (``negative work``)
+    and a NaN chunk ran silently, publishing no progress at all."""
+    with pytest.raises(ValueError, match="chunk"):
+        WorkloadTask("bad", 250 * MSEC, 1 * SEC, 250 * MSEC, 1 * SEC,
+                     chunk=chunk)
+
+
+@pytest.mark.parametrize("part", ["mandatory", "optional", "windup"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_workload_task_rejects_non_finite_parts(part, value):
+    lengths = {"mandatory": 250 * MSEC, "optional": 1 * SEC,
+               "windup": 250 * MSEC}
+    lengths[part] = value
+    with pytest.raises(ValueError, match=part):
+        WorkloadTask("bad", period=1 * SEC, **lengths)
+
+
 def test_workload_task_mandatory_emits_single_compute():
     task = WorkloadTask("w", 250 * MSEC, 1 * SEC, 250 * MSEC, 1 * SEC)
     ctx = TaskContext(task, 0, 0.0, 750 * MSEC, 1 * SEC)

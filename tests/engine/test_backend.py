@@ -152,3 +152,24 @@ def test_fifo_queue_api_parity(name):
     assert queue.pop() == ("head", 5)
     assert queue.pop() == ("b", 5)
     assert not queue
+
+
+@pytest.mark.parametrize("name", ["reference", "fast"])
+def test_fifo_queue_levels_built_on_first_use(name):
+    """A level exists only once something was enqueued at it: an unused
+    level reads as empty, rejects a dequeue, and leaves no trace in the
+    depth telemetry."""
+    queue = get_backend(name).make_fifo_queue(1, 99, cpu_id=0)
+    assert queue.items_at(42) == []
+    with pytest.raises(ReadyQueueError):
+        queue.dequeue("ghost", 42)
+    assert queue.counters()["level_peaks"] == {}
+
+    queue.enqueue("a", 42)
+    queue.enqueue("b", 7)
+    queue.enqueue("c", 42)
+    assert queue.pop() == ("a", 42)
+    assert queue.items_at(42) == ["c"]
+    # ascending level order whatever order the levels were built in
+    assert list(queue.counters()["level_peaks"].items()) == \
+        [("7", 1), ("42", 2)]

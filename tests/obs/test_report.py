@@ -56,6 +56,18 @@ def test_collect_engine_and_queue_sections():
     assert sections["metrics"]["counters"]
 
 
+def test_queue_section_lists_only_used_run_queues():
+    """Idle CPUs (most of the 228 on the Xeon Phi) are left out; every
+    CPU whose queue ever held a thread is listed."""
+    kernel, _metrics = small_run(with_metrics=False)
+    queues = RunReport.collect(kernel).to_dict()["queues"]
+    used = {f"cpu{cpu}" for cpu, runqueue in enumerate(kernel.runqueues)
+            if runqueue.counters()["peak_depth"] > 0}
+    assert set(queues) == used
+    assert 0 < len(queues) < len(kernel.runqueues)
+    assert all(queue["peak_depth"] > 0 for queue in queues.values())
+
+
 def test_optional_sections_absent_when_not_wired():
     kernel, _metrics = small_run(with_metrics=False)
     sections = RunReport.collect(kernel).to_dict()

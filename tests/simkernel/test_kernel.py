@@ -748,6 +748,43 @@ def test_interrupted_work_is_abandoned_not_resumed():
     assert record == [pytest.approx(5 * MSEC)]
 
 
+def _abandoned_recorder(record):
+    def body(thread):
+        yield Sigaction(SIGALRM, UnwindDisposition())
+        try:
+            yield Compute(100 * MSEC)
+        except SignalUnwind as unwind:
+            record.append(((yield GetTime()), unwind.abandoned))
+
+    return body
+
+
+def test_unwind_records_abandoned_work():
+    """The unwind carries the interrupted Compute's unfinished work."""
+    kernel = make_kernel()
+    record = []
+    thread = kernel.create_thread("t", _abandoned_recorder(record), cpu=0,
+                                  priority=50)
+    kernel.engine.schedule_at(30 * MSEC,
+                              lambda: kernel.post_signal(thread, SIGALRM))
+    kernel.run_to_completion()
+    assert record == [(30 * MSEC, 70 * MSEC)]
+
+
+def test_abandoned_work_survives_a_second_delivery():
+    """A second unwind delivered before the first surfaces replaces it,
+    but the work the first one abandoned is still abandoned."""
+    kernel = make_kernel()
+    record = []
+    thread = kernel.create_thread("t", _abandoned_recorder(record), cpu=0,
+                                  priority=50)
+    for _ in range(2):
+        kernel.engine.schedule_at(
+            30 * MSEC, lambda: kernel.post_signal(thread, SIGALRM))
+    kernel.run_to_completion()
+    assert record == [(30 * MSEC, 70 * MSEC)]
+
+
 # ---------------------------------------------------------------------------
 # cost model integration
 # ---------------------------------------------------------------------------

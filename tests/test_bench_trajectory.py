@@ -14,7 +14,7 @@ BENCH_PATH = REPO_ROOT / "BENCH_engine.json"
 
 #: History length at the time this test was written.  Append-only means
 #: the list can only grow; shrinking or rewriting history fails here.
-MIN_HISTORY_ENTRIES = 6
+MIN_HISTORY_ENTRIES = 8
 
 REQUIRED_ENTRY_KEYS = {"pr", "engine", "seed", "n_jobs", "runs",
                        "fig10_mandatory"}
@@ -135,30 +135,55 @@ def test_bench_report_renders_without_regression(capsys):
     output = capsys.readouterr().out
     assert "fig10_mandatory" in output
     assert regressions == [], (
-        "committed trajectory contains a >10% regression: "
+        "committed trajectory contains a >10% per-job regression: "
         + "; ".join(
             f"{entry['engine']} {previous['pr']}->{entry['pr']} "
-            f"({drop:.1%})"
-            for entry, previous, drop in regressions
+            f"({slowdown:.1%})"
+            for entry, previous, slowdown in regressions
         )
     )
 
 
+def _entry(pr, events, rate, n_jobs=10, **recorded):
+    fig10 = {"events": events, "events_per_sec_median": rate}
+    fig10.update(recorded)
+    return {"pr": pr, "engine": "fast", "n_jobs": n_jobs,
+            "fig10_mandatory": fig10}
+
+
 def test_bench_report_flags_synthetic_regression():
     bench_report = load_bench_report_module()
+    # same events per job; ev/s drops 15% -> 17.6% slower per job
     entries = [
-        {"pr": "a", "engine": "fast",
-         "fig10_mandatory": {"events_per_sec_median": 100.0}},
-        {"pr": "b", "engine": "fast",
-         "fig10_mandatory": {"events_per_sec_median": 85.0}},
-        {"pr": "c", "engine": "fast",
-         "fig10_mandatory": {"events_per_sec_median": 84.0}},
+        _entry("a", 1000, 100.0),
+        _entry("b", 1000, 85.0),
+        _entry("c", 1000, 84.0),
     ]
     regressions = bench_report.find_regressions(entries)
     assert len(regressions) == 1
-    entry, previous, drop = regressions[0]
+    entry, previous, slowdown = regressions[0]
     assert (previous["pr"], entry["pr"]) == ("a", "b")
-    assert drop == pytest.approx(0.15)
+    assert slowdown == pytest.approx(100.0 / 85.0 - 1.0)
+
+
+def test_gate_is_wall_per_job_not_events_per_sec():
+    """More events/sec but 20% more wall per simulated job is a
+    regression; fewer events/sec at less wall per job is not."""
+    bench_report = load_bench_report_module()
+    # 10 ms/job derived from events/sec, then 12 ms/job recorded
+    # alongside a *higher* ev/s (the change simulates more events)
+    slower = [_entry("old", 10_000, 100_000.0),
+              _entry("new", 30_000, 250_000.0, wall_ms_per_job=12.0)]
+    assert bench_report.wall_ms_per_job(slower[0]) == pytest.approx(10.0)
+    regressions = bench_report.find_regressions(slower)
+    assert [(previous["pr"], entry["pr"])
+            for entry, previous, _slowdown in regressions] == \
+        [("old", "new")]
+    assert regressions[0][2] == pytest.approx(0.2)
+    # a third of the events at 60% of the rate: faster per job
+    faster = [_entry("old", 30_000, 300_000.0),
+              _entry("new", 10_000, 180_000.0, wall_ms_per_job=5.6)]
+    assert bench_report.find_regressions(faster) == []
 
 
 def test_sparkline_maps_extremes():

@@ -1,12 +1,18 @@
-"""Render the engine-throughput trajectory and watch for regressions.
+"""Render the engine trajectory and watch for regressions.
 
 Reads the committed ``BENCH_engine.json`` history (append-only, one
 entry per PR per engine — see ``benchmarks/bench_engine_perf.py``) and
 prints a per-engine table with a sparkline of the ``fig10_mandatory``
-events/sec trajectory.  Any entry more than 10% below its predecessor
-for the same engine is flagged and fails the run — the same tolerance
-``tools/engine_bench_smoke.py`` applies in CI, now runnable locally
-against the recorded history instead of a live benchmark.
+wall time per simulated job.  Any entry more than 10% slower per job
+than its predecessor for the same engine is flagged and fails the run.
+
+The gate is on wall time for a fixed output (one simulated fig10 job),
+not on events/sec: a change that simulates the same jobs with fewer
+kernel events can lower events/sec while making every run faster, and
+one that adds events can raise it while making runs slower.  Entries
+recorded before the per-job field existed derive it as
+``events / events_per_sec_median / n_jobs``; events/sec stays on
+display as a secondary column.
 
 Optionally cross-checks a ``repro report`` document (``--report``):
 the run report's engine counters are summarized next to the
@@ -22,7 +28,9 @@ import argparse
 import json
 import sys
 
-#: Same gate as ``engine_bench_smoke.REGRESSION_TOLERANCE``.
+#: Largest allowed slowdown per simulated job versus the predecessor
+#: entry (the same 10% ``engine_bench_smoke.REGRESSION_TOLERANCE``
+#: allows).
 REGRESSION_TOLERANCE = 0.10
 
 _SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
@@ -52,16 +60,24 @@ def trajectory_by_engine(history):
     return by_engine
 
 
+def wall_ms_per_job(entry):
+    """Median wall milliseconds per simulated fig10 job of ``entry``
+    (recorded, or derived from events/sec for older entries)."""
+    fig10 = entry["fig10_mandatory"]
+    if "wall_ms_per_job" in fig10:
+        return fig10["wall_ms_per_job"]
+    return (fig10["events"] / fig10["events_per_sec_median"]
+            / entry["n_jobs"] * 1000.0)
+
+
 def find_regressions(entries, tolerance=REGRESSION_TOLERANCE):
-    """Entries >``tolerance`` below their predecessor, as
-    ``(entry, previous, drop_ratio)`` tuples."""
+    """Entries more than ``tolerance`` slower per job than their
+    predecessor, as ``(entry, previous, slowdown)`` tuples."""
     regressions = []
     for previous, entry in zip(entries, entries[1:]):
-        before = previous["fig10_mandatory"]["events_per_sec_median"]
-        after = entry["fig10_mandatory"]["events_per_sec_median"]
-        drop = 1.0 - after / before
-        if drop > tolerance:
-            regressions.append((entry, previous, drop))
+        slowdown = wall_ms_per_job(entry) / wall_ms_per_job(previous) - 1.0
+        if slowdown > tolerance:
+            regressions.append((entry, previous, slowdown))
     return regressions
 
 
@@ -71,24 +87,24 @@ def render_trajectory(bench, tolerance=REGRESSION_TOLERANCE, out=None):
     history = bench.get("history", [])
     all_regressions = []
     for engine, entries in sorted(trajectory_by_engine(history).items()):
-        rates = [e["fig10_mandatory"]["events_per_sec_median"]
-                 for e in entries]
+        walls = [wall_ms_per_job(entry) for entry in entries]
         regressions = find_regressions(entries, tolerance)
         flagged = {id(entry) for entry, _previous, _drop in regressions}
-        print(f"\n{engine} — fig10_mandatory events/sec "
-              f"{sparkline(rates)}", file=out)
-        print(f"  {'pr':24s} {'ev/s median':>12s} {'delta':>8s}",
-              file=out)
-        previous_rate = None
-        for entry, rate in zip(entries, rates):
-            if previous_rate is None:
+        print(f"\n{engine} — fig10_mandatory wall ms per job "
+              f"{sparkline(walls)}", file=out)
+        print(f"  {'pr':24s} {'ms/job':>8s} {'delta':>8s} "
+              f"{'ev/s median':>12s}", file=out)
+        previous_wall = None
+        for entry, wall in zip(entries, walls):
+            if previous_wall is None:
                 delta = "-"
             else:
-                delta = f"{(rate / previous_rate - 1.0) * 100:+.1f}%"
+                delta = f"{(wall / previous_wall - 1.0) * 100:+.1f}%"
             marker = "  << REGRESSION" if id(entry) in flagged else ""
-            print(f"  {entry['pr']:24s} {rate:>12,.1f} {delta:>8s}"
-                  f"{marker}", file=out)
-            previous_rate = rate
+            rate = entry["fig10_mandatory"]["events_per_sec_median"]
+            print(f"  {entry['pr']:24s} {wall:>8.2f} {delta:>8s} "
+                  f"{rate:>12,.1f}{marker}", file=out)
+            previous_wall = wall
         all_regressions.extend(regressions)
     return all_regressions
 
@@ -114,8 +130,8 @@ def main(argv=None):
                         help="also summarize a `repro report` JSON")
     parser.add_argument("--tolerance", type=float,
                         default=REGRESSION_TOLERANCE,
-                        help="flag drops larger than this fraction "
-                             "(default 0.10)")
+                        help="flag per-job slowdowns larger than this "
+                             "fraction (default 0.10)")
     args = parser.parse_args(argv)
 
     with open(args.bench) as handle:
@@ -127,12 +143,12 @@ def main(argv=None):
     if regressions:
         print(f"\n{len(regressions)} regression(s) beyond "
               f"{args.tolerance:.0%}:")
-        for entry, previous, drop in regressions:
+        for entry, previous, slowdown in regressions:
             print(f"  {entry['engine']}: {previous['pr']} -> "
-                  f"{entry['pr']} dropped {drop:.1%}")
+                  f"{entry['pr']} {slowdown:.1%} slower per job")
         return 1
     print("\ntrajectory OK: no entry more than "
-          f"{args.tolerance:.0%} below its predecessor")
+          f"{args.tolerance:.0%} slower per job than its predecessor")
     return 0
 
 

@@ -96,10 +96,9 @@ class OverheadSample:
 
 def run_overhead_experiment(n_parallel, policy="one_by_one",
                             load=BackgroundLoad.NONE, n_jobs=100, seed=0,
-                            overhead_allowance=DEFAULT_ALLOWANCE,
-                            engine=None):
+                            overhead_allowance=DEFAULT_ALLOWANCE):
     """Run one configuration and return its :class:`OverheadSample`."""
-    middleware = RTSeed(load=load, seed=seed, engine=engine)
+    middleware = RTSeed(load=load, seed=seed)
     task = make_eval_task(n_parallel, overhead_allowance)
     middleware.add_task(
         task,

@@ -1,4 +1,5 @@
-"""Execute scenarios on both backends and aggregate verdicts.
+"""Execute scenarios on the middleware and the theory simulator and
+aggregate verdicts.
 
 :func:`run_scenario` is the single entry point the CLI, the shrinker
 and the tests share: middleware run (with the kernel-trace, protocol
@@ -89,7 +90,7 @@ class CheckReport:
         return f"<CheckReport {self.summary()}>"
 
 
-def build_middleware(scenario, collect_kernel_events=True, engine=None,
+def build_middleware(scenario, collect_kernel_events=True,
                      cost_model="zero", noise_seed=0):
     """Build (don't run) the middleware stack for ``scenario``.
 
@@ -109,7 +110,7 @@ def build_middleware(scenario, collect_kernel_events=True, engine=None,
     topology = Topology(scenario.n_cpus, 1, share_fn=uniform_share,
                         background_weight=0.0)
     middleware = RTSeed(topology=topology, cost_model=cost_model,
-                        seed=noise_seed, engine=engine)
+                        seed=noise_seed)
 
     events = []
     topics = ["rtseed.*"]
@@ -140,17 +141,14 @@ def build_middleware(scenario, collect_kernel_events=True, engine=None,
     return middleware, events
 
 
-def run_middleware(scenario, collect_kernel_events=True, engine=None,
+def run_middleware(scenario, collect_kernel_events=True,
                    cost_model="zero", noise_seed=0):
     """One middleware run of ``scenario``.
 
-    :param engine: execution-core backend (``"reference"`` / ``"fast"``
-        / ``None`` for the process default) — see
-        :mod:`repro.engine.backend`.
     :param cost_model: passed to :class:`~repro.core.middleware.RTSeed`;
         the conformance oracles use ``"zero"`` (costs would diverge from
-        the theory simulator), the engine differential uses
-        ``"xeonphi"`` so the noisy cost path is exercised too.
+        the theory simulator); ``"xeonphi"`` exercises the noisy cost
+        path.
     :param noise_seed: cost-model noise seed (``"xeonphi"`` only).
     :returns: ``(events, kernel, crash)`` — the recorded probe events,
         the kernel (for post-run state oracles) and the crash message
@@ -158,7 +156,7 @@ def run_middleware(scenario, collect_kernel_events=True, engine=None,
     """
     middleware, events = build_middleware(
         scenario, collect_kernel_events=collect_kernel_events,
-        engine=engine, cost_model=cost_model, noise_seed=noise_seed,
+        cost_model=cost_model, noise_seed=noise_seed,
     )
     crash = None
     try:
@@ -265,93 +263,6 @@ def run_scenario(scenario, collect_kernel_events=True, profile=None):
                      profile=profile)
 
 
-def run_engine_diff(scenario, noise_seed=None, profile=None):
-    """Lockstep fast-vs-reference differential for one scenario.
-
-    Runs the identical middleware stack once per engine backend — with
-    the noisy Xeon Phi cost model, so the batched noise stream and the
-    stall-multiplier path are exercised — and requires the recorded
-    ``rtseed.*``/``kernel.*`` probe streams to be *exactly* equal
-    (topics, float timestamps, payloads), along with the final clock and
-    event count.  Fault plans (including ``core_throttle`` repricing
-    and ``cpu_stall`` cost multipliers) are allowed: both runs replay
-    the same deterministic plan.
-
-    On divergence, both kernels' flight-recorder rings are snapshotted
-    into ``report.flight`` (keys ``reference`` / ``fast``) so the
-    artifact shows what each backend saw near the split.
-
-    :param profile: optional
-        :class:`~repro.obs.profile.WallClockProfile` — each backend run
-        is timed under ``check.engine_diff.<backend>``.
-    :returns: a :class:`CheckReport` whose divergences have kind
-        ``engine_mismatch``.
-    """
-    if isinstance(scenario, dict):
-        scenario = Scenario.from_dict(scenario)
-    if profile is None:
-        profile = NullProfile()
-    report = CheckReport(scenario)
-    if noise_seed is None:
-        noise_seed = scenario.seed
-
-    sides = {}
-    for engine in ("reference", "fast"):
-        with profile.section(f"check.engine_diff.{engine}"):
-            sides[engine] = run_middleware(
-                scenario, engine=engine, cost_model="xeonphi",
-                noise_seed=noise_seed,
-            )
-    ref_events, ref_kernel, ref_crash = sides["reference"]
-    fast_events, fast_kernel, fast_crash = sides["fast"]
-    report.differential_ran = True
-
-    def mismatch(detail):
-        report.divergences.append(
-            {"kind": "engine_mismatch", "detail": detail}
-        )
-
-    def attach_flight():
-        snapshots = {}
-        for side, kernel in (("reference", ref_kernel),
-                             ("fast", fast_kernel)):
-            flight = getattr(kernel.probes, "flight", None)
-            if flight is not None:
-                snapshots[side] = flight.snapshot(
-                    "engine_diff_divergence"
-                )
-        if snapshots:
-            report.flight = snapshots
-
-    if ref_crash != fast_crash:
-        mismatch(f"crash divergence: reference={ref_crash!r} "
-                 f"fast={fast_crash!r}")
-        attach_flight()
-        return report
-    report.crash = None  # an *identical* crash is still equivalence
-
-    if len(ref_events) != len(fast_events):
-        mismatch(f"event-count divergence: reference recorded "
-                 f"{len(ref_events)}, fast {len(fast_events)}")
-    for index, (ref, fast) in enumerate(zip(ref_events, fast_events)):
-        if ref != fast:
-            mismatch(f"first stream divergence at event {index}: "
-                     f"reference={ref!r} fast={fast!r}")
-            break
-    if ref_kernel.engine.now != fast_kernel.engine.now:
-        mismatch(f"final clock divergence: reference="
-                 f"{ref_kernel.engine.now!r} "
-                 f"fast={fast_kernel.engine.now!r}")
-    if (ref_kernel.engine.events_processed
-            != fast_kernel.engine.events_processed):
-        mismatch(f"events_processed divergence: reference="
-                 f"{ref_kernel.engine.events_processed} "
-                 f"fast={fast_kernel.engine.events_processed}")
-    if not report.ok:
-        attach_flight()
-    return report
-
-
 def _index_payload(index, seed, report, scenario, shrink=False,
                    profile=None):
     """JSON-ready result of one batch run (what the farm ships home)."""
@@ -395,60 +306,6 @@ def run_fuzz_index(base_seed, index, fault_rate=0.0, shrink=True,
         report.crash = f"checker error {type(error).__name__}: {error}"
     return _index_payload(index, seed, report, scenario, shrink=shrink,
                           profile=profile)
-
-
-def run_engine_diff_index(base_seed, index, fault_rate=0.25,
-                          profile=None):
-    """Run ``index`` of an engine-diff batch; farm-shardable (see
-    :func:`run_fuzz_index`).  Engine-diff failures are not shrunk —
-    the artifact's value is the two backends' flight rings."""
-    from repro.check.scenario import (
-        ENGINE_DIFF_FAULT_SITE_MENU,
-        derive_run_seed,
-        generate_scenario,
-    )
-
-    seed = derive_run_seed(base_seed, index)
-    scenario = generate_scenario(seed, fault_rate=fault_rate,
-                                 fault_sites=ENGINE_DIFF_FAULT_SITE_MENU)
-    try:
-        report = run_engine_diff(scenario, profile=profile)
-    except Exception as error:  # checker bug — report, don't hide
-        report = CheckReport(scenario)
-        report.crash = f"checker error {type(error).__name__}: {error}"
-    return _index_payload(index, seed, report, scenario)
-
-
-def fuzz_engine_diff(n_runs, seed=0, fault_rate=0.25, max_failures=5,
-                     on_progress=None, profile=None):
-    """Run ``n_runs`` generated scenarios through the engine
-    differential (:func:`run_engine_diff`).
-
-    Unlike :func:`fuzz`, faulted scenarios still run the differential —
-    both backends replay the same plan — so the default ``fault_rate``
-    is non-zero and the menu includes the hardware sites
-    (:data:`repro.check.scenario.ENGINE_DIFF_FAULT_SITE_MENU`).
-    """
-    failures = []
-    runs = 0
-    differential_runs = 0
-    for index in range(n_runs):
-        payload = run_engine_diff_index(seed, index,
-                                        fault_rate=fault_rate,
-                                        profile=profile)
-        runs += 1
-        differential_runs += payload["differential_ran"]
-        if not payload["ok"]:
-            failures.append(payload["artifact"])
-        if on_progress is not None:
-            on_progress(payload["seed"], payload)
-        if len(failures) >= max_failures:
-            break
-    return {
-        "runs": runs,
-        "differential_runs": differential_runs,
-        "failures": failures,
-    }
 
 
 def fuzz(n_runs, seed=0, fault_rate=0.0, shrink=True, max_failures=5,

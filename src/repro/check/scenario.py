@@ -67,15 +67,6 @@ PERIOD_MENU = (50 * MSEC, 100 * MSEC, 200 * MSEC, 400 * MSEC)
 #: the scheduling invariants the oracles assert.
 FAULT_SITE_MENU = ("signal_delay", "timer_drift", "spurious_wakeup")
 
-#: Fault sites for the fast-vs-reference engine differential
-#: (``repro check --engine-diff``).  That mode compares the *same*
-#: stack against itself on two backends, so hardware-side faults are
-#: fair game too — ``cpu_stall`` exercises the stall multiplier
-#: composing with batch-priced costs, ``core_throttle`` exercises
-#: mid-run repricing through :meth:`Kernel.set_core_speed`.
-ENGINE_DIFF_FAULT_SITE_MENU = FAULT_SITE_MENU + ("cpu_stall",
-                                                 "core_throttle")
-
 
 def derive_run_seed(base_seed, index):
     """Independent scenario seed for run ``index`` of a batch.
@@ -285,8 +276,8 @@ def generate_scenario(seed, fault_rate=0.0, fault_sites=FAULT_SITE_MENU):
 
     :param fault_rate: probability the scenario carries a fault plan
         (such scenarios run oracle checks only, not the differential).
-    :param fault_sites: menu the fault plan draws from; engine-diff
-        passes :data:`ENGINE_DIFF_FAULT_SITE_MENU`.
+    :param fault_sites: menu the fault plan draws from (default: the
+        oracle-safe :data:`FAULT_SITE_MENU`).
     """
     rng = np.random.default_rng(seed)
     for attempt in range(128):

@@ -10,15 +10,16 @@ the remainder, and re-judges the failure.
 
 Barrier mapping (:func:`divergence_snapshot`):
 
-* engine-diff details name a probe-stream position (``"first stream
-  divergence at event N"``) — a *scout* re-execution records
+* a divergence whose detail names a probe-stream position (``"...
+  at event N"``) — a *scout* re-execution records
   ``engine.events_processed`` at every collected probe event, and the
   barrier is ``counts[N] - 1`` (the engine count increments *before*
   the event's callback runs, so that barrier positions the engine
   immediately before the event that published the divergent probe);
 * conformance divergences/violations are in canonical-trace
-  coordinates with no stream position — the barrier falls back to the
-  run's midpoint, honestly labeled ``"midpoint"`` in the info dict.
+  coordinates with no stream position (every failure kind the checker
+  emits today) — the barrier falls back to the run's midpoint,
+  honestly labeled ``"midpoint"`` in the info dict.
 
 Because the restore is the same deterministic computation from t=0,
 the re-judged report's failure kinds match the artifact's on a
@@ -36,28 +37,16 @@ from repro.snapshot.resume import snapshot as take_snapshot
 _EVENT_INDEX_RE = re.compile(r"at event (\d+)")
 
 
-def artifact_check_spec(artifact, engine=None):
-    """The ``check`` program spec re-executing this artifact's run.
-
-    Engine-diff artifacts (kind ``engine_mismatch``) ran the noisy
-    Xeon Phi cost model seeded by the scenario; conformance artifacts
-    ran zero costs — the spec mirrors whichever produced the failure.
-    """
-    report = artifact.get("report") or {}
-    kinds = {d.get("kind") for d in report.get("divergences", [])}
-    scenario = dict(artifact["scenario"])
-    spec = {
+def artifact_check_spec(artifact):
+    """The ``check`` program spec re-executing this artifact's run
+    (zero costs, as the conformance check ran it)."""
+    return {
         "kind": "check",
-        "scenario": scenario,
-        "engine": engine,
+        "scenario": dict(artifact["scenario"]),
         "cost_model": "zero",
         "noise_seed": 0,
         "collect_kernel_events": True,
     }
-    if "engine_mismatch" in kinds:
-        spec["cost_model"] = "xeonphi"
-        spec["noise_seed"] = scenario.get("seed", 0)
-    return spec
 
 
 def divergence_probe_index(artifact):
@@ -80,7 +69,6 @@ def _scout_counts(spec):
     middleware, _events = build_middleware(
         spec["scenario"],
         collect_kernel_events=spec["collect_kernel_events"],
-        engine=spec["engine"],
         cost_model=spec["cost_model"],
         noise_seed=spec["noise_seed"],
     )
@@ -100,7 +88,7 @@ def _scout_counts(spec):
     return counts, engine.events_processed
 
 
-def divergence_snapshot(artifact, engine=None):
+def divergence_snapshot(artifact):
     """Snapshot the artifact's scenario just before its divergence.
 
     Two deterministic re-executions: a scout run to completion mapping
@@ -112,7 +100,7 @@ def divergence_snapshot(artifact, engine=None):
         summary dict (``barrier``, ``barrier_source``, ``probe_index``,
         ``total_events``).
     """
-    spec = artifact_check_spec(artifact, engine=engine)
+    spec = artifact_check_spec(artifact)
     counts, total = _scout_counts(spec)
 
     index = divergence_probe_index(artifact)
@@ -136,7 +124,7 @@ def divergence_snapshot(artifact, engine=None):
     return document, info
 
 
-def replay_from_snapshot(document, expect_backend=None):
+def replay_from_snapshot(document):
     """Restore a ``check`` snapshot, finish the run, re-judge it.
 
     :returns: ``(report, payload)`` — a fresh
@@ -151,7 +139,7 @@ def replay_from_snapshot(document, expect_backend=None):
             f"not a check snapshot: program kind is "
             f"{document.get('program', {}).get('kind')!r}"
         )
-    run = restore(document, expect_backend=expect_backend)
+    run = restore(document)
     payload = run.finish()
     report = judge_run(
         run.spec["scenario"], run.events, run.kernel, run.crash,

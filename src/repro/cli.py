@@ -44,7 +44,7 @@ Commands
     replayable JSON repro artifacts (see docs/CHECKING.md).
 
 ``farm``
-    Run a check batch, engine-diff batch, or fault campaign through
+    Run a check batch or fault campaign through
     the parallel scenario farm with a live per-worker status line; the
     merged report is byte-identical at any ``--workers`` count (see
     docs/FARM.md).  ``farm status`` inspects farm checkpoints on disk
@@ -81,7 +81,6 @@ def _add_overheads_parser(subparsers):
                         choices=["none", "cpu", "cpu_memory"])
     parser.add_argument("--jobs", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0)
-    _add_engine_argument(parser)
 
 
 def _add_sweep_parser(subparsers):
@@ -105,7 +104,6 @@ def _add_trade_parser(subparsers):
                         choices=["none", "cpu", "cpu_memory"])
     parser.add_argument("--od-ms", type=float, default=None,
                         help="relative optional deadline in ms")
-    _add_engine_argument(parser)
 
 
 def _add_figures_parser(subparsers):
@@ -138,7 +136,6 @@ def _add_workload_arguments(parser):
     parser.add_argument("--load", default="none",
                         choices=["none", "cpu", "cpu_memory"])
     parser.add_argument("--seed", type=int, default=0)
-    _add_engine_argument(parser)
 
 
 def _add_trace_parser(subparsers):
@@ -217,14 +214,6 @@ def _add_faults_parser(subparsers):
                              "campaigns auto-resume via --checkpoint)")
 
 
-def _add_engine_argument(parser):
-    parser.add_argument("--engine", default=None,
-                        choices=["reference", "fast"],
-                        help="execution-core backend (default: "
-                             "$RTSEED_ENGINE or reference); seeded "
-                             "runs are byte-identical either way")
-
-
 def _add_check_parser(subparsers):
     parser = subparsers.add_parser(
         "check", help="differential conformance fuzzing"
@@ -235,12 +224,10 @@ def _add_check_parser(subparsers):
                         help="batch seed; run k's scenario seed is "
                              "derived independently as "
                              "derive_run_seed(seed, k)")
-    parser.add_argument("--fault-rate", type=float, default=None,
+    parser.add_argument("--fault-rate", type=float, default=0.0,
                         help="fraction of scenarios carrying a fault "
                              "plan (default 0; oracle checks only, no "
-                             "differential — except --engine-diff, "
-                             "which defaults to 0.25 and runs the "
-                             "differential on faulted scenarios too)")
+                             "differential)")
     parser.add_argument("--shrink", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="delta-debug failing scenarios (default on)")
@@ -260,13 +247,6 @@ def _add_check_parser(subparsers):
                              "runs here and resume from it on the "
                              "next run; also enables graceful "
                              "SIGTERM/SIGINT drain")
-    parser.add_argument("--engine-diff", action="store_true",
-                        help="lockstep fast-vs-reference differential "
-                             "instead of the theory oracle: every "
-                             "scenario runs on both engine backends "
-                             "and the probe streams must be "
-                             "byte-identical (fault plans allowed, "
-                             "default fault rate 0.25)")
     parser.add_argument("--workers", type=int, default=None,
                         help="run the batch through the scenario farm "
                              "with this many worker processes; the "
@@ -289,15 +269,14 @@ def _add_farm_parser(subparsers):
                              "(--checkpoint FILE or --checkpoint-dir "
                              "DIR) without running anything")
     parser.add_argument("--what", default="check",
-                        choices=["check", "engine-diff", "faults"],
+                        choices=["check", "faults"],
                         help="which batch to farm out")
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--runs", type=int, default=50,
-                        help="scenarios per batch (check/engine-diff)")
+                        help="scenarios per batch (check)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--fault-rate", type=float, default=None,
-                        help="check/engine-diff fault rate (defaults "
-                             "0 / 0.25)")
+    parser.add_argument("--fault-rate", type=float, default=0.0,
+                        help="check fault rate (default 0)")
     parser.add_argument("--scenario", default="all",
                         help="campaign scenarios (faults): name, "
                              "comma-separated names, or 'all'")
@@ -371,7 +350,6 @@ def _add_scale_parser(subparsers):
                              "checkpoint file (same machinery as "
                              "--checkpoint, spelled for intent; "
                              "completed shards are skipped)")
-    _add_engine_argument(parser)
 
 
 def _add_snapshot_parser(subparsers):
@@ -407,17 +385,12 @@ def _add_snapshot_parser(subparsers):
     parser.add_argument("--artifact", default=None, metavar="FILE",
                         help="check program: repro artifact supplying "
                              "the scenario")
-    _add_engine_argument(parser)
     parser.add_argument("--at-events", type=int, default=None,
                         help="dump: engine event barrier to snapshot "
                              "at (required for dump)")
     parser.add_argument("--snapshot", default=None, metavar="FILE",
                         help="snapshot path (dump writes it; "
                              "inspect/resume read it)")
-    parser.add_argument("--expect-engine", default=None,
-                        choices=["reference", "fast"],
-                        help="resume: refuse snapshots taken on a "
-                             "different backend")
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="write the payload JSON here instead of "
                              "stdout (run/resume)")
@@ -443,7 +416,6 @@ def cmd_overheads(args, out):
         load=_load_from_name(args.load),
         n_jobs=args.jobs,
         seed=args.seed,
-        engine=args.engine,
     )
     rows = [
         [f"Δ{which}", f"{sample.mean(which):.1f}",
@@ -506,7 +478,6 @@ def cmd_trade(args, out):
         optional_deadline=(
             None if args.od_ms is None else args.od_ms * MSEC
         ),
-        engine=args.engine,
     )
     report = system.run()
     summary = report.summary()
@@ -597,15 +568,13 @@ def _build_workload(args):
             seed=args.seed,
             policy=args.policy,
             load=_load_from_name(args.load),
-            engine=args.engine,
         )
         return system.middleware.kernel, system.run
 
     from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
     from repro.core.middleware import RTSeed
 
-    middleware = RTSeed(load=_load_from_name(args.load), seed=args.seed,
-                        engine=args.engine)
+    middleware = RTSeed(load=_load_from_name(args.load), seed=args.seed)
     middleware.add_task(
         make_eval_task(args.n_parallel),
         n_jobs=args.jobs,
@@ -793,6 +762,32 @@ class _StopFlag:
             signal.signal(signum, handler)
 
 
+def _reject_bad_batch_arguments(args, out, checks):
+    """Boundary validation for the batch commands: print one message
+    for the first bad argument among ``checks`` (names of
+    ``runs``/``workers``/``fault_rate``/``seconds``) and return true,
+    so the caller exits 2 before a bad value is farmed out to fail in
+    every shard."""
+    rules = {
+        "runs": ("--runs", lambda value: value >= 0, "must be >= 0"),
+        "workers": ("--workers", lambda value: value >= 1,
+                    "must be >= 1"),
+        "fault_rate": ("--fault-rate",
+                       lambda value: 0.0 <= value <= 1.0,
+                       "must be within [0, 1]"),
+        "seconds": ("--seconds", lambda value: value > 0,
+                    "must be > 0"),
+    }
+    for name in checks:
+        value = getattr(args, name)
+        flag, valid, requirement = rules[name]
+        if value is not None and not valid(value):
+            print(f"{args.command}: {flag} {requirement}, got {value}",
+                  file=out)
+            return True
+    return False
+
+
 def cmd_faults(args, out):
     from repro.faults.campaign import (
         SCENARIOS,
@@ -806,6 +801,8 @@ def cmd_faults(args, out):
             print(f"{name:18s} {SCENARIOS[name]['description']}",
                   file=out)
         return 0
+    if _reject_bad_batch_arguments(args, out, ("seconds", "workers")):
+        return 2
     if args.scenario == "all":
         names = None
     else:
@@ -869,12 +866,7 @@ def cmd_faults(args, out):
 
 
 def cmd_check(args, out):
-    from repro.check import (
-        fuzz,
-        fuzz_engine_diff,
-        load_artifact,
-        replay_artifact,
-    )
+    from repro.check import fuzz, load_artifact, replay_artifact
     from repro.check.shrink import save_artifact
 
     if args.replay:
@@ -895,18 +887,15 @@ def cmd_check(args, out):
                   file=out)
         expected = set(artifact["failure_kinds"])
         got = set(report.failure_kinds())
-        if args.from_snapshot and expected == {"engine_mismatch"}:
-            # a single-backend time-travel replay cannot re-run the
-            # two-backend differential; the restored state is the value
-            print("engine-diff artifact: single-backend replay, "
-                  "failure kinds not comparable", file=out)
-            return 0
         if expected and not (expected & got):
             print(f"DID NOT REPRODUCE (expected {sorted(expected)}, "
                   f"got {sorted(got)})", file=out)
             return 1
         return 0
 
+    if _reject_bad_batch_arguments(args, out,
+                                   ("runs", "workers", "fault_rate")):
+        return 2
     quarantined = False
     if args.workers is not None or args.out or args.checkpoint:
         from repro.farm import FarmInterrupted, farm_check, \
@@ -918,7 +907,6 @@ def cmd_check(args, out):
                 seed=args.seed,
                 fault_rate=args.fault_rate,
                 shrink=args.shrink,
-                engine_diff=args.engine_diff,
                 max_failures=args.max_failures,
                 workers=args.workers or 1,
                 checkpoint_path=args.checkpoint,
@@ -943,25 +931,14 @@ def cmd_check(args, out):
                 print(f"seed {seed}: FAIL — {payload['summary']}",
                       file=out)
 
-        if args.engine_diff:
-            result = fuzz_engine_diff(
-                args.runs,
-                seed=args.seed,
-                fault_rate=(0.25 if args.fault_rate is None
-                            else args.fault_rate),
-                max_failures=args.max_failures,
-                on_progress=progress,
-            )
-        else:
-            result = fuzz(
-                args.runs,
-                seed=args.seed,
-                fault_rate=(0.0 if args.fault_rate is None
-                            else args.fault_rate),
-                shrink=args.shrink,
-                max_failures=args.max_failures,
-                on_progress=progress,
-            )
+        result = fuzz(
+            args.runs,
+            seed=args.seed,
+            fault_rate=args.fault_rate,
+            shrink=args.shrink,
+            max_failures=args.max_failures,
+            on_progress=progress,
+        )
     failures = result["failures"]
     if args.artifacts and failures:
         import os
@@ -984,9 +961,8 @@ def cmd_check(args, out):
             print(f"wrote {snapshot_path} (barrier {info['barrier']}/"
                   f"{info['total_events']} events, "
                   f"{info['barrier_source']})", file=out)
-    mode = "engine-diff " if args.engine_diff else ""
     print(
-        f"{result['runs']} {mode}runs from seed {args.seed}: "
+        f"{result['runs']} runs from seed {args.seed}: "
         f"{result['differential_runs']} differential, "
         f"{len(failures)} failure(s)",
         file=out,
@@ -1039,6 +1015,10 @@ def cmd_farm(args, out):
 
     if args.action == "status":
         return _cmd_farm_status(args, out)
+    checks = ("workers", "seconds") if args.what == "faults" \
+        else ("workers", "runs", "fault_rate")
+    if _reject_bad_batch_arguments(args, out, checks):
+        return 2
 
     progress = _FarmProgress(out)
     heartbeat = (DEFAULT_HEARTBEAT if args.heartbeat is None
@@ -1070,7 +1050,6 @@ def cmd_farm(args, out):
         else:
             document, farm_result = farm_check(
                 args.runs, seed=args.seed, fault_rate=args.fault_rate,
-                engine_diff=args.what == "engine-diff",
                 workers=args.workers, heartbeat=heartbeat,
                 flight_dir=args.flight_dir, on_event=progress,
                 checkpoint_path=args.checkpoint,
@@ -1127,7 +1106,6 @@ def cmd_scale(args, out):
                 seed=args.seed,
                 utilization=args.utilization,
                 horizon_periods=args.horizon_periods,
-                engine=args.engine,
                 workers=args.workers,
                 heartbeat=heartbeat,
                 flight_dir=args.flight_dir,
@@ -1159,8 +1137,7 @@ def cmd_scale(args, out):
         print(
             f"scale: {spec.n_cores}c x {spec.threads_per_core}t, "
             f"{totals['tasks']} task(s), {totals['jobs_done']} job(s) "
-            f"in {totals['events']} kernel events — {throughput} "
-            f"({document['engine']} engine)",
+            f"in {totals['events']} kernel events — {throughput}",
             file=out,
         )
     if farm_result.quarantined:
@@ -1174,12 +1151,11 @@ def _snapshot_spec(args, out):
     if args.program == "overheads":
         return {"kind": "overheads", "np": args.n_parallel,
                 "jobs": args.jobs, "policy": args.policy,
-                "load": args.load.upper(), "seed": args.seed,
-                "engine": args.engine}
+                "load": args.load.upper(), "seed": args.seed}
     if args.program == "trade":
         return {"kind": "trade", "seconds": args.seconds,
                 "policy": args.policy, "load": args.load.upper(),
-                "seed": args.seed, "engine": args.engine}
+                "seed": args.seed}
     if args.program == "faults":
         from repro.faults.campaign import SCENARIOS
 
@@ -1188,8 +1164,7 @@ def _snapshot_spec(args, out):
                   f"{sorted(SCENARIOS)}", file=out)
             return None
         return {"kind": "faults", "scenario": args.scenario,
-                "seconds": args.seconds, "seed": args.seed,
-                "engine": args.engine}
+                "seconds": args.seconds, "seed": args.seed}
     if args.artifact is None:
         print("--program check needs --artifact FILE (a repro "
               "artifact supplying the scenario)", file=out)
@@ -1197,8 +1172,7 @@ def _snapshot_spec(args, out):
     from repro.check.shrink import load_artifact
     from repro.check.timetravel import artifact_check_spec
 
-    return artifact_check_spec(load_artifact(args.artifact),
-                               engine=args.engine)
+    return artifact_check_spec(load_artifact(args.artifact))
 
 
 def cmd_snapshot(args, out):
@@ -1238,8 +1212,7 @@ def cmd_snapshot(args, out):
                 print("resume needs --snapshot FILE", file=out)
                 return 2
             document = load_snapshot(args.snapshot)
-            payload = resume_to_end(document,
-                                    expect_backend=args.expect_engine)
+            payload = resume_to_end(document)
             emit_payload(payload)
             return 0
 
@@ -1255,8 +1228,8 @@ def cmd_snapshot(args, out):
             document = take_snapshot(run, at_events=args.at_events)
             write_snapshot(args.snapshot, document)
             print(f"wrote snapshot of {spec['kind']} at "
-                  f"{args.at_events} events ({document['backend']} "
-                  f"backend) to {args.snapshot}", file=out)
+                  f"{args.at_events} events to {args.snapshot}",
+                  file=out)
             return 0
         emit_payload(run.finish())
         return 0

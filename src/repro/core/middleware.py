@@ -25,7 +25,6 @@ kernel schedule — exactly the "no kernel modifications" claim.
 from repro.core.policies import AssignmentPolicy, get_policy
 from repro.core.process import RealTimeProcess
 from repro.core.task import Task
-from repro.engine.backend import get_backend
 from repro.engine.classes import get_sched_class
 from repro.hardware.loads import BackgroundLoad, apply_load
 from repro.hardware.overheads import XeonPhiCostModel
@@ -117,30 +116,20 @@ class RTSeed:
         :class:`~repro.core.resilience.DegradedModeController` shared by
         every process — system-wide optional-part shedding under
         sustained deadline misses.
-    :param engine: execution-core backend — ``"reference"`` /
-        ``"fast"`` / an :class:`~repro.engine.backend.EngineBackend` /
-        ``None`` (process default, ``$RTSEED_ENGINE``).  Selects the
-        event engine, the run-queue structures and the cost-model noise
-        mode together; seeded runs are byte-identical across backends
-        (``repro check --engine-diff`` enforces it).
     """
 
     def __init__(self, topology=None, load=BackgroundLoad.NONE,
                  cost_model="xeonphi", seed=0, use_hpq=False,
-                 watchdog=None, degrade=None, engine=None):
+                 watchdog=None, degrade=None):
         self.topology = topology if topology is not None \
             else xeon_phi_topology()
         self.load = load
-        backend = get_backend(engine)
-        self.backend = backend
         apply_load(self.topology, load)
         if cost_model == "xeonphi":
-            cost_model = XeonPhiCostModel(self.topology, load, seed=seed,
-                                          noise=backend.noise_mode)
+            cost_model = XeonPhiCostModel(self.topology, load, seed=seed)
         elif cost_model == "zero":
             cost_model = ZeroCostModel()
-        self.kernel = Kernel(self.topology, cost_model=cost_model,
-                             backend=backend)
+        self.kernel = Kernel(self.topology, cost_model=cost_model)
         self.use_hpq = use_hpq
         self.watchdog = watchdog
         self.degrade = degrade

@@ -14,7 +14,7 @@ part's role.
 """
 
 from repro.core.queues import nrtq_priority
-from repro.core.task import Task, TaskContext
+from repro.core.task import Task, TaskContext, check_chunk
 from repro.core.termination import SigjmpTermination
 from repro.simkernel.sync import CondVar, Mutex
 from repro.simkernel.syscalls import (
@@ -70,6 +70,7 @@ class PracticalWorkloadTask(PracticalTask):
                  parts_per_stage=1, chunk=None):
         super().__init__(name, period, len(mandatory_parts),
                          parts_per_stage)
+        check_chunk(name, chunk)
         self.mandatory_parts = [float(m) for m in mandatory_parts]
         self.optional_length = float(optional_length)
         self.chunk = float(chunk) if chunk else max(

@@ -135,6 +135,16 @@ class Task:
         )
 
 
+def check_chunk(name, chunk):
+    """Reject a progress granularity that is not a positive finite
+    duration (``None`` means "use the default").  Shared by the
+    workload tasks, so ``0``, negatives and NaN fail at construction
+    instead of mid-run."""
+    if chunk is not None and not (math.isfinite(chunk) and chunk > 0):
+        raise ValueError(f"{name}: chunk must be a positive finite "
+                         f"duration, got {chunk}")
+
+
 class WorkloadTask(Task):
     """A synthetic task with fixed part lengths — the evaluation workload.
 
@@ -170,9 +180,7 @@ class WorkloadTask(Task):
             raise ValueError(f"{name}: mandatory/wind-up must be positive")
         if optional < 0:
             raise ValueError(f"{name}: optional must be >= 0")
-        if chunk is not None and not (math.isfinite(chunk) and chunk > 0):
-            raise ValueError(f"{name}: chunk must be a positive finite "
-                             f"duration, got {chunk}")
+        check_chunk(name, chunk)
         self.mandatory = float(mandatory)
         self.optional = float(optional)
         self.windup = float(windup)

@@ -12,19 +12,20 @@ Both simulators in the reproduction run on this package:
 The package provides:
 
 * :mod:`repro.engine.events` — the discrete-event engine (simulated
-  clock + cancellable event queue with O(1) pending count and
-  lazy-cancellation compaction);
+  clock + cancellable event queue of slotted list records, with O(1)
+  pending count and lazy-cancellation compaction);
 * :mod:`repro.engine.readyqueue` — policy-free ready-queue structures
-  (keyed heap with lazy removal; Figure 5's bitmap-indexed FIFO levels);
+  (keyed heap with lazy removal; Figure 5's bitmap-indexed FIFO levels,
+  one deque per level);
 * :mod:`repro.engine.classes` — the :class:`~repro.engine.classes.SchedClass`
   protocol (Linux ``sched_class`` analog) and the five policy classes:
-  RM, DM, EDF, the RMWP band class, and SCHED_FIFO-99;
-* :mod:`repro.engine.backend` — the
-  :class:`~repro.engine.backend.EngineBackend` seam selecting between
-  the ``reference`` implementations above and the ``fast`` hot-path
-  build (:mod:`repro.engine.fastevents` /
-  :mod:`repro.engine.fastqueue`), which is byte-identical on seeded
-  runs (``repro check --engine-diff``) but ~2x faster.
+  RM, DM, EDF, the RMWP band class, and SCHED_FIFO-99.
+
+There is one implementation of each structure.  The tests keep a small
+checking model of the event engine and the level queue
+(``tests/engine/model.py``) and require the production structures to
+behave identically on arbitrary operation sequences and on a full
+seeded middleware run.
 
 A policy written once as a ``SchedClass`` runs at both the theory level
 and the kernel-DES level; see ``docs/TUTORIAL.md`` for a worked
@@ -51,23 +52,10 @@ from repro.engine.classes import (
     nrtq_priority,
     rtq_priority,
 )
-from repro.engine.backend import (
-    BACKENDS,
-    ENGINE_ENV_VAR,
-    EngineBackend,
-    FastBackend,
-    ReferenceBackend,
-    default_backend_name,
-    get_backend,
-)
-from repro.engine.events import Engine, Event
-from repro.engine.fastevents import FastEngine
-from repro.engine.fastqueue import FastLevelQueue
+from repro.engine.events import Engine
 from repro.engine.readyqueue import (
-    CircularDList,
     HeapReadyQueue,
     IndexedLevelQueue,
-    PriorityBitmap,
     ReadyQueueError,
 )
 
@@ -90,20 +78,8 @@ __all__ = [
     "get_sched_class",
     "nrtq_priority",
     "rtq_priority",
-    "BACKENDS",
-    "ENGINE_ENV_VAR",
-    "EngineBackend",
-    "FastBackend",
-    "ReferenceBackend",
-    "default_backend_name",
-    "get_backend",
     "Engine",
-    "Event",
-    "FastEngine",
-    "FastLevelQueue",
-    "CircularDList",
     "HeapReadyQueue",
     "IndexedLevelQueue",
-    "PriorityBitmap",
     "ReadyQueueError",
 ]

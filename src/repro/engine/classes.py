@@ -34,7 +34,7 @@ attributes and the module-level helpers — it *is* priority-ordering
 logic, and the middleware planner and the theory simulator both need it.
 """
 
-from repro.engine.backend import get_backend
+from repro.engine.readyqueue import HeapReadyQueue, IndexedLevelQueue
 
 #: Real-time band for part items (mandatory / wind-up / whole jobs).
 RT_BAND = 1
@@ -135,17 +135,9 @@ class SchedClass:
         """Runtime urgency key for a ready entity (smaller = run first)."""
         raise NotImplementedError
 
-    def make_queue(self, cpu_id=0, backend=None):
-        """A ready queue whose ordering matches :meth:`priority_key`.
-
-        :param backend: an :class:`~repro.engine.backend.EngineBackend`
-            (or registry name, or ``None`` for the process default) —
-            the structure implementation comes from the backend, the
-            ordering discipline from the class.
-        """
-        return get_backend(backend).make_heap_queue(
-            self.priority_key, cpu_id=cpu_id
-        )
+    def make_queue(self, cpu_id=0):
+        """A ready queue whose ordering matches :meth:`priority_key`."""
+        return HeapReadyQueue(self.priority_key, cpu_id=cpu_id)
 
     def enqueue(self, rq, entity, at_head=False):
         """Make ``entity`` ready on ``rq``.
@@ -320,10 +312,9 @@ class Fifo99Class(SchedClass):
     def priority_key(self, entity):
         return -self._priority_of(entity)
 
-    def make_queue(self, cpu_id=0, backend=None):
-        return get_backend(backend).make_fifo_queue(
-            self.min_prio, self.max_prio, cpu_id=cpu_id
-        )
+    def make_queue(self, cpu_id=0):
+        return IndexedLevelQueue(self.min_prio, self.max_prio,
+                                 cpu_id=cpu_id)
 
     def enqueue(self, rq, entity, at_head=False):
         rq.enqueue(entity, entity.priority, at_head=at_head)

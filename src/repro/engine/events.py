@@ -12,13 +12,25 @@ which the reproduction relies on: e.g. all 228 optional-deadline timers
 firing at the same instant must be processed in a stable order for
 results to be repeatable.
 
-Cancellation is *lazy*: a cancelled entry stays in the heap and is
+Representation (chosen for CPython speed on the hot path):
+
+* an event is a plain 5-list record ``[time, prio, seq, callback,
+  state]`` pushed directly onto the heap — list comparison stops at the
+  unique ``seq``, so the callback is never compared;
+* ``state`` is an int flag: ``0`` pending, ``1`` cancelled but still in
+  the heap, ``2`` executed or swept;
+* :meth:`Engine.run` is a single inlined loop — one heap-top inspection
+  per event — and samples ``probes.want_engine`` once at entry
+  (subscribe to the bus *before* running; the kernel's own ``kernel.*``
+  sites guard per call).
+
+Cancellation is *lazy*: a cancelled record stays in the heap and is
 skipped when it reaches the top.  Two pieces of bookkeeping keep that
 cheap at scale:
 
 * a live pending counter, so :attr:`Engine.pending_count` is O(1)
   instead of an O(n) heap scan;
-* periodic compaction — once cancelled entries outnumber live ones the
+* periodic compaction — once cancelled records outnumber live ones the
   heap is rebuilt without them (O(n) amortized against the cancels that
   caused it), so workloads that cancel most of what they schedule (SMT
   rate-sharing recomputes every completion event on every occupancy
@@ -27,54 +39,31 @@ cheap at scale:
 
 import heapq
 
+_heappush = heapq.heappush
+_heappop = heapq.heappop
+
 #: Compaction trigger: never compact below this many cancelled entries
 #: (tiny heaps are cheaper to drain lazily than to rebuild).
 _COMPACT_MIN_CANCELLED = 64
 
-
-class Event:
-    """A scheduled callback.
-
-    Events are created through :meth:`Engine.schedule_at` /
-    :meth:`Engine.schedule_after` and can be cancelled with
-    :meth:`Engine.cancel`.  Cancellation is lazy: the heap entry stays in
-    place and is skipped when popped (or swept by compaction).
-    """
-
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled",
-                 "_in_heap")
-
-    def __init__(self, time, priority, seq, callback):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-        self._in_heap = True
-
-    def __lt__(self, other):
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
-    def __repr__(self):
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time} prio={self.priority} seq={self.seq} {state}>"
+#: Record state flags.
+_PENDING = 0
+_CANCELLED = 1
+_DONE = 2
 
 
 class Engine:
     """Simulated clock and event loop.
+
+    The handle returned by :meth:`schedule_at` / :meth:`schedule_after`
+    is the raw record (a list), opaque to callers — the kernel and the
+    simulator only ever store it and pass it back to :meth:`cancel`.
 
     :param start_time: initial value of the simulated clock, nanoseconds.
     """
 
     def __init__(self, start_time=0.0):
         self.now = float(start_time)
-        #: (time, priority, seq, event) tuples: heap sifts compare at C
-        #: speed, and the unique seq means the Event itself is never
-        #: compared.
         self._heap = []
         self._seq = 0
         self._events_processed = 0
@@ -83,17 +72,16 @@ class Engine:
         # telemetry (see :meth:`counters`): per-priority schedule and
         # cancel tallies, the high-water heap length, and compaction
         # totals.  Per-priority *processed* counts are derived at
-        # report time, so the hot path pays two dict increments and one
-        # length compare — nothing per-pop.
+        # report time, so the schedule/cancel paths pay two dict
+        # increments and one length compare — the drain loop nothing.
         self._scheduled_by_priority = {}
         self._cancelled_by_priority = {}
         self._peak_heap = 0
         self._compactions = 0
         self._swept_total = 0
         #: optional :class:`repro.obs.bus.ProbeBus` (duck-typed — the
-        #: engine stays import-free).  Sites guard on
-        #: ``probes.want_engine`` so an unobserved engine pays one
-        #: attribute test per event.
+        #: engine stays import-free).  :meth:`step` tests
+        #: ``probes.want_engine`` per event, :meth:`run` once at entry.
         self.probes = None
 
     @property
@@ -108,27 +96,30 @@ class Engine:
 
     @property
     def heap_size(self):
-        """Physical heap length including not-yet-swept cancelled entries
+        """Physical heap length including not-yet-swept cancelled records
         (diagnostics; bounded at < 2x :attr:`pending_count` + the
         compaction floor by the lazy-cancellation compactor)."""
         return len(self._heap)
+
+    def queue_records(self):
+        """Every heap entry as ``(time, priority, seq, callback, state)``
+        in heap order, lazily-cancelled ones included (snapshot
+        capture)."""
+        return [tuple(record) for record in self._heap]
 
     def counters(self):
         """JSON-ready telemetry counters (see ``docs/OBSERVABILITY.md``).
 
         Per-priority ``processed`` and ``pending`` tallies are derived
         here with one O(heap) scan — ``processed = scheduled -
-        cancelled - pending`` per level — so the event hot path never
-        pays for per-type accounting beyond the schedule/cancel dict
-        increments.  ``events_scheduled`` is the monotone sequence
-        counter; ``peak_heap_size`` is exact (the heap only grows at
-        ``schedule_at``).
+        cancelled - pending`` per level.  ``events_scheduled`` is the
+        monotone sequence counter; ``peak_heap_size`` is exact (the
+        heap only grows at ``schedule_at``).
         """
         pending_by_priority = {}
-        for entry in self._heap:
-            event = entry[3]
-            if not event.cancelled:
-                priority = event.priority
+        for record in self._heap:
+            if record[4] == _PENDING:
+                priority = record[1]
                 pending_by_priority[priority] = \
                     pending_by_priority.get(priority, 0) + 1
         by_priority = {}
@@ -168,10 +159,11 @@ class Engine:
             raise ValueError(
                 f"cannot schedule event at {time} before now ({self.now})"
             )
-        self._seq += 1
-        event = Event(float(time), priority, self._seq, callback)
-        heapq.heappush(self._heap,
-                       (event.time, priority, self._seq, event))
+        self._seq = seq = self._seq + 1
+        if type(time) is not float:
+            time = float(time)
+        record = [time, priority, seq, callback, _PENDING]
+        _heappush(self._heap, record)
         self._pending += 1
         by_priority = self._scheduled_by_priority
         try:
@@ -181,46 +173,47 @@ class Engine:
         heap_len = len(self._heap)
         if heap_len > self._peak_heap:
             self._peak_heap = heap_len
-        return event
+        return record
 
     def schedule_after(self, delay, callback, priority=0):
         """Schedule ``callback()`` after a relative ``delay`` >= 0."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        return self.schedule_at(self.now + delay, callback, priority=priority)
+        return self.schedule_at(self.now + delay, callback,
+                                priority=priority)
 
-    def cancel(self, event):
-        """Cancel a pending event.  Cancelling twice is a no-op."""
-        if event.cancelled:
+    def cancel(self, record):
+        """Cancel a pending record.  Cancelling twice, or cancelling a
+        record that already ran, is a no-op."""
+        if record[4] != _PENDING:
             return
-        event.cancelled = True
-        if not event._in_heap:
-            # already executed (or swept): nothing queued to account for
-            return
+        record[4] = _CANCELLED
         self._pending -= 1
         self._cancelled += 1
         by_priority = self._cancelled_by_priority
         try:
-            by_priority[event.priority] += 1
+            by_priority[record[1]] += 1
         except KeyError:
-            by_priority[event.priority] = 1
-        self._maybe_compact()
+            by_priority[record[1]] = 1
+        if self._cancelled >= _COMPACT_MIN_CANCELLED and \
+                self._cancelled * 2 > len(self._heap):
+            self._compact()
 
-    def _maybe_compact(self):
-        """Rebuild the heap once cancelled entries exceed half of it."""
-        if self._cancelled < _COMPACT_MIN_CANCELLED:
-            return
-        if self._cancelled * 2 <= len(self._heap):
-            return
+    def _compact(self):
+        """Rebuild the heap without cancelled records.  The rebuild is
+        *in place* (``heap[:] = survivors``) so the ``run`` loop's local
+        heap binding stays valid when a callback's cancel triggers
+        compaction mid-drain."""
         swept = self._cancelled
+        heap = self._heap
         survivors = []
-        for entry in self._heap:
-            if entry[3].cancelled:
-                entry[3]._in_heap = False
+        for record in heap:
+            if record[4] == _CANCELLED:
+                record[4] = _DONE
             else:
-                survivors.append(entry)
-        self._heap = survivors
-        heapq.heapify(self._heap)
+                survivors.append(record)
+        heap[:] = survivors
+        heapq.heapify(heap)
         self._cancelled = 0
         self._compactions += 1
         self._swept_total += swept
@@ -230,39 +223,38 @@ class Engine:
                            survivors=len(survivors))
 
     def _pop_cancelled_top(self):
-        """Drop cancelled entries sitting at the top of the heap."""
-        while self._heap and self._heap[0][3].cancelled:
-            _, _, _, event = heapq.heappop(self._heap)
-            event._in_heap = False
+        """Drop cancelled records sitting at the top of the heap."""
+        heap = self._heap
+        while heap and heap[0][4] == _CANCELLED:
+            _heappop(heap)[4] = _DONE
             self._cancelled -= 1
 
     def peek_time(self):
         """Return the time of the next pending event, or ``None``."""
         self._pop_cancelled_top()
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             return None
-        return self._heap[0][0]
+        return heap[0][0]
 
     def step(self):
         """Execute the next pending event.  Return ``False`` if none left."""
-        while self._heap:
-            _, _, _, event = heapq.heappop(self._heap)
-            event._in_heap = False
-            if event.cancelled:
+        heap = self._heap
+        while heap:
+            record = _heappop(heap)
+            if record[4] == _CANCELLED:
+                record[4] = _DONE
                 self._cancelled -= 1
                 continue
-            if event.time < self.now:
-                raise RuntimeError(
-                    f"event time {event.time} behind clock {self.now}"
-                )
+            record[4] = _DONE
             self._pending -= 1
-            self.now = event.time
+            self.now = record[0]
             self._events_processed += 1
             probes = self.probes
             if probes is not None and probes.want_engine:
-                probes.publish("engine.event_pop", priority=event.priority,
-                               seq=event.seq)
-            event.callback()
+                probes.publish("engine.event_pop", priority=record[1],
+                               seq=record[2])
+            record[3]()
             return True
         return False
 
@@ -275,16 +267,49 @@ class Engine:
         :returns: number of events executed by this call.
         """
         executed = 0
+        heap = self._heap
+        heappop = _heappop
+        probes = self.probes
+        emit = probes.publish \
+            if probes is not None and probes.want_engine else None
+        if until is None and max_events is None and emit is None:
+            # run-to-completion with an idle bus: the tightest loop
+            while heap:
+                record = heap[0]
+                if record[4] == _CANCELLED:
+                    heappop(heap)[4] = _DONE
+                    self._cancelled -= 1
+                    continue
+                heappop(heap)[4] = _DONE
+                self._pending -= 1
+                self.now = record[0]
+                self._events_processed += 1
+                executed += 1
+                record[3]()
+            return executed
         while True:
             if max_events is not None and executed >= max_events:
                 return executed
-            next_time = self.peek_time()
-            if next_time is None:
-                if until is not None and until > self.now:
-                    self.now = float(until)
-                return executed
-            if until is not None and next_time > until:
+            if not heap:
+                break
+            record = heap[0]
+            if record[4] == _CANCELLED:
+                heappop(heap)[4] = _DONE
+                self._cancelled -= 1
+                continue
+            time = record[0]
+            if until is not None and time > until:
                 self.now = float(until)
                 return executed
-            self.step()
+            heappop(heap)[4] = _DONE
+            self._pending -= 1
+            self.now = time
+            self._events_processed += 1
             executed += 1
+            if emit is not None:
+                emit("engine.event_pop", priority=record[1],
+                     seq=record[2])
+            record[3]()
+        if until is not None and until > self.now:
+            self.now = float(until)
+        return executed

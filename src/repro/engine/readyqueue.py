@@ -8,16 +8,16 @@ Two disciplines cover every scheduling class in the reproduction:
   arbitrary entry is O(1) amortized (mark + sweep at the top, with the
   same half-dead compaction rule the event engine uses).
 * :class:`IndexedLevelQueue` — a fixed range of integer priority levels,
-  each a FIFO :class:`CircularDList`, indexed by a :class:`PriorityBitmap`
-  for O(1) find-highest.  This is the paper's Figure 5 / Linux
-  ``SCHED_FIFO`` structure (double circular linked list per level plus a
-  bitmap), used by the FIFO-99 scheduling class.
+  each a FIFO deque, indexed by an int bitmap for O(1) find-highest.
+  This is the paper's Figure 5 / Linux ``SCHED_FIFO`` structure (a FIFO
+  list per level plus a bitmap), used by the FIFO-99 scheduling class.
 
 Both structures are *policy-free*: ordering semantics live in
 :mod:`repro.engine.classes`.
 """
 
 import heapq
+from collections import deque
 
 #: Compaction trigger for lazily-removed heap entries.
 _COMPACT_MIN_REMOVED = 64
@@ -187,138 +187,25 @@ class HeapReadyQueue:
 # ---------------------------------------------------------------------------
 
 
-class _Node:
-    """Intrusive list node; one per enqueued thread."""
-
-    __slots__ = ("value", "prev", "next", "owner")
-
-    def __init__(self, value):
-        self.value = value
-        self.prev = None
-        self.next = None
-        self.owner = None
-
-
-class CircularDList:
-    """Double circular linked list with O(1) push/pop at both ends.
-
-    Mirrors the kernel's per-priority FIFO list: new runnable threads go
-    to the tail; a preempted thread returns to the head (SCHED_FIFO
-    semantics — it resumes before equal-priority peers).
-    """
-
-    def __init__(self):
-        self._head = None
-        self._len = 0
-        self._nodes = {}
-
-    def __len__(self):
-        return self._len
-
-    def __bool__(self):
-        return self._len > 0
-
-    def __iter__(self):
-        node = self._head
-        for _ in range(self._len):
-            yield node.value
-            node = node.next
-
-    def __contains__(self, value):
-        return id(value) in self._nodes
-
-    def _insert_before(self, node, anchor):
-        node.prev = anchor.prev
-        node.next = anchor
-        anchor.prev.next = node
-        anchor.prev = node
-
-    def push_tail(self, value):
-        """Append ``value`` at the tail (normal enqueue)."""
-        if id(value) in self._nodes:
-            raise ReadyQueueError(f"{value!r} already enqueued")
-        node = _Node(value)
-        node.owner = self
-        self._nodes[id(value)] = node
-        if self._head is None:
-            node.prev = node.next = node
-            self._head = node
-        else:
-            self._insert_before(node, self._head)
-        self._len += 1
-
-    def push_head(self, value):
-        """Insert ``value`` at the head (a preempted thread returning)."""
-        self.push_tail(value)
-        self._head = self._head.prev
-
-    def peek_head(self):
-        """Return the head value without removing it (``None`` if empty)."""
-        return self._head.value if self._head else None
-
-    def pop_head(self):
-        """Remove and return the head value."""
-        if self._head is None:
-            raise ReadyQueueError("pop from empty list")
-        value = self._head.value
-        self.remove(value)
-        return value
-
-    def remove(self, value):
-        """Remove ``value`` from anywhere in the list in O(1)."""
-        node = self._nodes.pop(id(value), None)
-        if node is None:
-            raise ReadyQueueError(f"{value!r} not in list")
-        if self._len == 1:
-            self._head = None
-        else:
-            node.prev.next = node.next
-            node.next.prev = node.prev
-            if self._head is node:
-                self._head = node.next
-        node.prev = node.next = None
-        node.owner = None
-        self._len -= 1
-
-
-class PriorityBitmap:
-    """Bitmap over priority levels with O(1) find-highest.
-
-    Python integers are arbitrary-precision, so a single int serves as the
-    bitmap; ``int.bit_length`` gives the highest set bit directly.
-    """
-
-    def __init__(self):
-        self._bits = 0
-
-    def set(self, prio):
-        self._bits |= 1 << prio
-
-    def clear(self, prio):
-        self._bits &= ~(1 << prio)
-
-    def is_set(self, prio):
-        return bool(self._bits >> prio & 1)
-
-    def highest(self):
-        """Highest set priority, or ``None`` when the bitmap is empty."""
-        if self._bits == 0:
-            return None
-        return self._bits.bit_length() - 1
-
-    def __bool__(self):
-        return self._bits != 0
-
-
 class IndexedLevelQueue:
     """Ready queue over integer priority levels, larger = more urgent.
 
-    One FIFO :class:`CircularDList` per level plus a
-    :class:`PriorityBitmap` for O(1) lookup of the highest non-empty
-    level — the structure of the paper's Figure 5 and of Linux's rt
-    scheduling class.  A level's list is built on its first enqueue: a
-    kernel has one queue per CPU and most CPUs only ever see a handful
-    of the 100 levels.
+    One FIFO level per priority plus a bitmap for O(1) lookup of the
+    highest non-empty level — the structure of the paper's Figure 5 and
+    of Linux's rt scheduling class.  The representation is what is
+    fastest in CPython: each level is a :class:`collections.deque`
+    (C-implemented, O(1) at both ends, no per-item node allocation) and
+    the bitmap is a plain int (``bits.bit_length() - 1`` is
+    find-highest).  A level is built on its first enqueue: a kernel has
+    one queue per CPU and most CPUs only ever see a handful of the 100
+    levels.
+
+    Every operation checks its priority against the level range (one
+    chained compare).  Duplicate enqueues are not detected — that
+    would cost a membership scan per enqueue, and the kernel never
+    enqueues a thread twice (the model-equivalence tests in
+    ``tests/engine/`` run the same operation sequences through a
+    checking model of this queue).
 
     :param min_prio: lowest valid level (inclusive).
     :param max_prio: highest valid level (inclusive).
@@ -329,9 +216,9 @@ class IndexedLevelQueue:
         self.cpu_id = cpu_id
         self.min_prio = min_prio
         self.max_prio = max_prio
-        #: prio -> CircularDList, for levels that were ever used
+        #: prio -> deque, for levels that were ever used
         self._levels = {}
-        self._bitmap = PriorityBitmap()
+        self._bits = 0
         self._count = 0
         # depth high-water marks: whole queue and per used level
         # (telemetry, see :meth:`counters`); updated on enqueue only.
@@ -348,9 +235,11 @@ class IndexedLevelQueue:
 
     def __iter__(self):
         """Items highest level first, FIFO within a level."""
+        bits = self._bits
+        levels = self._levels
         for prio in range(self.max_prio, self.min_prio - 1, -1):
-            if self._bitmap.is_set(prio):
-                yield from self._levels[prio]
+            if bits >> prio & 1:
+                yield from levels[prio]
 
     def _check_prio(self, prio):
         if not self.min_prio <= prio <= self.max_prio:
@@ -366,16 +255,17 @@ class IndexedLevelQueue:
         thread goes back to the head of its level; a newly woken thread
         goes to the tail.
         """
-        self._check_prio(prio)
+        if not self.min_prio <= prio <= self.max_prio:  # no call when valid
+            self._check_prio(prio)
         level = self._levels.get(prio)
         if level is None:
-            level = self._levels[prio] = CircularDList()
+            level = self._levels[prio] = deque()
             self._level_peaks[prio] = 0
         if at_head:
-            level.push_head(item)
+            level.appendleft(item)
         else:
-            level.push_tail(item)
-        self._bitmap.set(prio)
+            level.append(item)
+        self._bits |= 1 << prio
         self._count += 1
         if self._count > self._peak_depth:
             self._peak_depth = self._count
@@ -390,12 +280,13 @@ class IndexedLevelQueue:
     def dequeue(self, item, prio):
         """Remove a specific item (e.g. a thread killed while ready)."""
         self._check_prio(prio)
-        level = self._levels.get(prio)
-        if level is None:
-            raise ReadyQueueError(f"{item!r} not in list")
-        level.remove(item)
+        try:
+            level = self._levels[prio]
+            level.remove(item)
+        except (KeyError, ValueError):
+            raise ReadyQueueError(f"{item!r} not enqueued") from None
         if not level:
-            self._bitmap.clear(prio)
+            self._bits &= ~(1 << prio)
         self._count -= 1
         probes = self.probes
         if probes is not None and probes.want_rq:
@@ -404,22 +295,24 @@ class IndexedLevelQueue:
 
     def peek(self):
         """``(item, prio)`` of the most urgent ready item, or ``None``."""
-        prio = self._bitmap.highest()
-        if prio is None:
+        bits = self._bits
+        if not bits:
             return None
-        return self._levels[prio].peek_head(), prio
+        prio = bits.bit_length() - 1
+        return self._levels[prio][0], prio
 
     def pop(self):
         """Remove and return ``(item, prio)`` of the most urgent item."""
-        prio = self._bitmap.highest()
-        if prio is None:
+        bits = self._bits
+        if not bits:
             raise ReadyQueueError(
                 f"run queue of CPU {self.cpu_id} empty"
             )
+        prio = bits.bit_length() - 1
         level = self._levels[prio]
-        item = level.pop_head()
+        item = level.popleft()
         if not level:
-            self._bitmap.clear(prio)
+            self._bits = bits & ~(1 << prio)
         self._count -= 1
         probes = self.probes
         if probes is not None and probes.want_rq:
@@ -429,13 +322,15 @@ class IndexedLevelQueue:
 
     def highest_priority(self):
         """Priority of the most urgent ready item, or ``None``."""
-        return self._bitmap.highest()
+        bits = self._bits
+        if not bits:
+            return None
+        return bits.bit_length() - 1
 
     def items_at(self, prio):
         """Snapshot (list) of items queued at ``prio``, head first."""
         self._check_prio(prio)
-        level = self._levels.get(prio)
-        return list(level) if level is not None else []
+        return list(self._levels.get(prio, ()))
 
     def counters(self):
         """JSON-ready depth telemetry: current depth, the queue-wide

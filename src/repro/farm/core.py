@@ -33,6 +33,7 @@ unstable): ``farm.start``, ``farm.item_start``, ``farm.item_done``,
 ``farm.quarantine``, ``farm.done``.
 """
 
+import gc
 import multiprocessing
 import os
 import queue as queue_module
@@ -277,6 +278,15 @@ def farm_map(task, items, n_workers=1, heartbeat=DEFAULT_HEARTBEAT,
                 completed=len(result.results),
                 remaining=sum(len(p) for p in pending_shards))
 
+    # Everything alive before the batch (modules, classes, the caller's
+    # earlier results) moves to the collector's permanent generation
+    # for the batch: a full collection then walks only what the items
+    # allocate, so the item that happens to trigger one does not also
+    # pay for the whole interpreter heap (and a forked worker's
+    # collections skip the heap it inherits).  Garbage is collected
+    # first: frozen objects are never freed until the batch ends.
+    gc.collect()
+    gc.freeze()
     try:
         if n_workers == 1:
             for index, item in enumerate(items):
@@ -428,6 +438,7 @@ def farm_map(task, items, n_workers=1, heartbeat=DEFAULT_HEARTBEAT,
         publish("farm.done", completed=len(result.results))
         return result
     finally:
+        gc.unfreeze()
         if checkpoint is not None:
             checkpoint.close()
         for signum, handler in previous_handlers.items():

@@ -1,11 +1,9 @@
 """Farm jobs: the batch shapes the farm knows how to shard.
 
-Three workloads ride the farm (:func:`~repro.farm.core.farm_map`):
+Two workloads ride the farm (:func:`~repro.farm.core.farm_map`):
 
 * **check batches** — ``fuzz``-style conformance runs
-  (:func:`farm_check` with ``engine_diff=False``);
-* **engine-diff batches** — reference-vs-fast backend differentials
-  (:func:`farm_check` with ``engine_diff=True``);
+  (:func:`farm_check`);
 * **fault campaigns** — the canned resilience scenario matrix
   (:func:`farm_campaign`).
 
@@ -39,14 +37,6 @@ def _check_item(item):
     return run_fuzz_index(item["base_seed"], item["index"],
                           fault_rate=item["fault_rate"],
                           shrink=item["shrink"])
-
-
-def _engine_diff_item(item):
-    """Farm task: one engine-differential run."""
-    from repro.check.runner import run_engine_diff_index
-
-    return run_engine_diff_index(item["base_seed"], item["index"],
-                                 fault_rate=item["fault_rate"])
 
 
 def _campaign_item(name, n_seconds, seed):
@@ -112,20 +102,18 @@ def merge_check_results(farm_result, mode, base_seed, n_runs,
     return document
 
 
-def farm_check(n_runs, seed=0, fault_rate=None, shrink=True,
-               engine_diff=False, max_failures=5, workers=1,
+def farm_check(n_runs, seed=0, fault_rate=0.0, shrink=True,
+               max_failures=5, workers=1,
                heartbeat=DEFAULT_HEARTBEAT, max_retries=DEFAULT_RETRIES,
                flight_dir=None, on_event=None, context=None,
                checkpoint_path=None, handle_signals=False):
-    """Run a check or engine-diff batch across ``workers`` processes.
+    """Run a check batch across ``workers`` processes.
 
     Returns ``(document, farm_result)`` — the deterministic report dict
     (render with :func:`render_check_report`) and the raw
     :class:`~repro.farm.core.FarmResult` with stats/quarantine detail.
 
-    ``fault_rate`` defaults to the serial batch defaults (``0.0`` for
-    check, ``0.25`` for engine-diff).  Unlike the serial ``fuzz`` loop
-    the farm runs *every* index regardless of failures, then truncates
+    Unlike the serial ``fuzz`` loop the farm runs *every* index regardless of failures, then truncates
     the merged failure list to ``max_failures`` in index order — the
     report is identical at any worker count.
 
@@ -133,10 +121,7 @@ def farm_check(n_runs, seed=0, fault_rate=None, shrink=True,
     are appended to the file and skipped on the next invocation with
     the same batch fingerprint (mode/seed/runs/fault_rate/shrink).
     """
-    if fault_rate is None:
-        fault_rate = 0.25 if engine_diff else 0.0
-    mode = "engine_diff" if engine_diff else "check"
-    task = _engine_diff_item if engine_diff else _check_item
+    mode = "check"
     items = [
         {"base_seed": seed, "index": index, "fault_rate": fault_rate,
          "shrink": shrink}
@@ -145,7 +130,7 @@ def farm_check(n_runs, seed=0, fault_rate=None, shrink=True,
     checkpoint_meta = {"what": mode, "base_seed": seed, "runs": n_runs,
                        "fault_rate": fault_rate, "shrink": shrink}
     farm_result = farm_map(
-        task, items, n_workers=workers, heartbeat=heartbeat,
+        _check_item, items, n_workers=workers, heartbeat=heartbeat,
         max_retries=max_retries, context=context, flight_dir=flight_dir,
         flight_seed=seed, on_event=on_event,
         checkpoint_path=checkpoint_path,

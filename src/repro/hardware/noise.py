@@ -1,14 +1,15 @@
-"""Seeded noise streams: scalar and batch-priced, identical by contract.
+"""Seeded noise stream: batch-priced, identical to scalar draws by contract.
 
 The calibrated cost model multiplies every priced micro-cost by a
-lognormal factor from a seeded generator.  The reference path draws one
-scalar per priced event; the fast backend prices in *batches* —
-vectorized numpy chunks — which amortizes ~80k generator round-trips
-per fig10 run into a few hundred.
+lognormal factor from a seeded generator.  Rather than one scalar
+generator call per priced event, it prices in *batches* — vectorized
+numpy chunks — which amortizes ~80k generator round-trips per fig10
+run into a few hundred.
 
 **The RNG-order contract.**  Batching must not change a single consumed
-value: seeded runs are compared byte-for-byte across backends by
-``repro check --engine-diff``, and BENCH/figure data are keyed by seed.
+value: every consumed value equals the scalar draw one
+``rng.lognormal(0, sigma)`` call per priced event would have made, and
+BENCH/figure data are keyed by seed.
 Two properties of :class:`numpy.random.Generator` make the chunked
 stream exactly equal to the scalar stream:
 
@@ -19,7 +20,8 @@ stream exactly equal to the scalar stream:
 2. ``float(chunk[i])`` preserves the float64 bit pattern exactly.
 
 Both are asserted by hypothesis property tests
-(``tests/engine/test_backend_properties.py``), so a numpy upgrade that
+(``tests/engine/test_backend_properties.py``, against the scalar-draw
+model in ``tests/engine/model.py``), so a numpy upgrade that
 broke the contract would fail loudly, not corrupt benchmarks silently.
 
 Draw-*order* is owned by the caller: the cost model must consume from
@@ -57,7 +59,7 @@ class BatchedLognormalStream:
 
     def next(self):
         """The next draw, as a Python float (bit-identical to the
-        scalar draw the reference path would have made)."""
+        next scalar ``rng.lognormal(0, sigma)`` draw)."""
         idx = self._idx
         buf = self._buf
         if idx >= len(buf):
@@ -67,3 +69,12 @@ class BatchedLognormalStream:
             idx = 0
         self._idx = idx + 1
         return float(buf[idx])
+
+    def cursor(self):
+        """Chunk size, read position and the still-buffered draws
+        (snapshot capture)."""
+        return {
+            "chunk": self._chunk,
+            "index": self._idx,
+            "buffered": [float(value) for value in self._buf[self._idx:]],
+        }

@@ -144,46 +144,39 @@ class XeonPhiCostModel(CostModel):
         disables noise entirely.
     :param costs: override the calibration (a :class:`MicroCosts` or a
         load-keyed dict of them).
-    :param noise: draw mode — ``"scalar"`` (one RNG call per priced
-        event, the reference path) or ``"batched"`` (vectorized chunks
-        consumed in the identical order; see
-        :mod:`repro.hardware.noise` for the RNG-order contract).  Both
-        modes produce bit-identical cost sequences for the same seed.
+
+    Noise is drawn in vectorized chunks and consumed one value per
+    priced event (:class:`~repro.hardware.noise.BatchedLognormalStream`;
+    the values equal one scalar draw per event from the same seed).
     """
 
     def __init__(self, topology, load=BackgroundLoad.NONE, seed=0,
-                 noise_sigma=0.05, costs=None, noise="scalar"):
+                 noise_sigma=0.05, costs=None):
         self.topology = topology
         self.load = load
         table = costs if costs is not None else DEFAULT_COSTS
         self.costs = table[load] if isinstance(table, dict) else table
         self.noise_sigma = noise_sigma
         self._rng = np.random.default_rng(seed)
-        if noise not in ("scalar", "batched"):
-            raise ValueError(f"unknown noise mode {noise!r}")
-        self.noise_mode = noise
         self._noise_stream = (
             BatchedLognormalStream(self._rng, noise_sigma)
-            if noise == "batched" and noise_sigma > 0 else None
+            if noise_sigma > 0 else None
         )
         #: optional per-CPU stall provider (duck-typed: ``multiplier(cpu)``
         #: -> float >= 1), installed by the fault-injection subsystem to
         #: model transient pipeline stalls / thermal throttling.  Applied
         #: *after* the noise draw — at consumption time, on the already
         #: drawn (possibly chunk-drawn) value — so installing it never
-        #: perturbs the RNG stream: a no-fault run stays bit-identical,
-        #: in either noise mode.
+        #: perturbs the RNG stream: a no-fault run stays bit-identical.
         self.stall = None
 
     def _noisy(self, value):
         if value <= 0:
             return 0.0
-        if self.noise_sigma <= 0:
-            return value
         stream = self._noise_stream
-        if stream is not None:
-            return value * stream.next()
-        return value * self._rng.lognormal(0.0, self.noise_sigma)
+        if stream is None:
+            return value
+        return value * stream.next()
 
     def _stalled(self, value, owner):
         """Apply any active stall window; ``owner`` is a CPU id, a

@@ -19,7 +19,7 @@ subscribes to the :class:`~repro.obs.bus.ProbeBus` **passively**
 skipping payload construction entirely until a real observer (tracer,
 metrics, campaign counter, check runner) asks for a family, at which
 point the recorder rides along on those of its topics the observers
-cause to be published.  An idle bus costs nothing, on either backend.
+cause to be published.  An idle bus costs nothing.
 With a ``dump_dir`` the user asked for dumps, so the recorder is an
 *active* observer of :data:`FLIGHT_TOPICS` and every dump carries the
 kernel lifecycle whatever else is attached.
@@ -37,7 +37,7 @@ check_kernel_invariants` asks ``kernel.probes.flight`` to
 
 Determinism: events are recorded in publish order with simulated-time
 stamps and JSON-primitive payloads, so a seeded run dumps byte-identical
-artifacts on every execution and on either engine backend.
+artifacts on every execution.
 """
 
 import json

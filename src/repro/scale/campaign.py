@@ -73,7 +73,7 @@ def check_task_count(n_tasks, n_cores):
 
 
 def campaign_items(n_cores, threads_per_core, n_tasks, base_seed=0,
-                   utilization=0.5, horizon_periods=2, engine=None):
+                   utilization=0.5, horizon_periods=2):
     """The farm item list: one item per core that received tasks."""
     counts = shard_task_counts(n_tasks, n_cores)
     items = []
@@ -87,7 +87,6 @@ def campaign_items(n_cores, threads_per_core, n_tasks, base_seed=0,
             "n_tasks": count,
             "utilization": utilization,
             "horizon_periods": horizon_periods,
-            "engine": engine,
         })
     return items
 
@@ -112,8 +111,7 @@ def _scale_item(item):
         utilization=item["utilization"],
         horizon_periods=item["horizon_periods"],
     )
-    events, kernel, crash = run_middleware(scenario,
-                                           engine=item["engine"])
+    events, kernel, crash = run_middleware(scenario)
     violations = []
     if crash is None:
         violations.extend(check_kernel_trace(events, scenario.n_cpus))
@@ -244,7 +242,7 @@ def failure_summary(document):
 
 
 def farm_scale(n_cores=57, threads_per_core=4, n_tasks=2000, seed=0,
-               utilization=0.5, horizon_periods=2, engine=None,
+               utilization=0.5, horizon_periods=2,
                workers=1, heartbeat=DEFAULT_HEARTBEAT,
                max_retries=DEFAULT_RETRIES, flight_dir=None,
                on_event=None, context=None, checkpoint_path=None,
@@ -269,12 +267,10 @@ def farm_scale(n_cores=57, threads_per_core=4, n_tasks=2000, seed=0,
         "requested_tasks": n_tasks,
         "utilization": utilization,
         "horizon_periods": horizon_periods,
-        "engine": engine or "default",
     }
     items = campaign_items(
         n_cores, threads_per_core, n_tasks, base_seed=seed,
         utilization=utilization, horizon_periods=horizon_periods,
-        engine=engine,
     )
     checkpoint_meta = {"what": "scale", **params}
     farm_result = farm_map(

@@ -42,7 +42,7 @@ charging, and migration bookkeeping.
 
 from functools import partial
 
-from repro.engine.backend import get_backend
+from repro.engine.events import Engine
 from repro.engine.classes import NRT_BAND, RT_BAND, get_sched_class, \
     rtq_priority
 from repro.model.job import Job, JobOutcome, OptionalPartRecord, PartType
@@ -178,16 +178,15 @@ class _ReadySet:
     (parallel optional parts, pinned per Section II-A) stay per-CPU.
     """
 
-    def __init__(self, sched_class, n_cpus, global_rt=False,
-                 backend=None):
+    def __init__(self, sched_class, n_cpus, global_rt=False):
         self.sched_class = sched_class
         self.n_cpus = n_cpus
         self.global_rt = global_rt
         self.cpu_queues = [
-            sched_class.make_queue(cpu, backend=backend)
+            sched_class.make_queue(cpu)
             for cpu in range(n_cpus)
         ]
-        self.rt_queue = sched_class.make_queue(backend=backend) \
+        self.rt_queue = sched_class.make_queue() \
             if global_rt else None
 
     def _queue_of(self, item):
@@ -232,20 +231,12 @@ class ScheduleSimulator:
         middleware's Figure 5 plan (RM rank mapped into the RTQ band),
         so the theory level replays exactly what RT-Seed programs into
         the kernel.
-    :param engine: execution-core backend — ``"reference"`` / ``"fast"``
-        / an :class:`~repro.engine.backend.EngineBackend` / ``None``
-        (process default).  Results are identical on either backend;
-        ``fast`` is quicker.
     """
 
     def __init__(self, taskset, policy="rmwp", assignment=None,
                  optional_assignment=None, global_sched=False,
-                 optional_deadlines=None, priorities=None, engine=None):
+                 optional_deadlines=None, priorities=None):
         self.sched_class = get_sched_class(policy)
-        #: the :class:`~repro.engine.backend.EngineBackend` supplying
-        #: the event engine and ready-queue structures (``engine=`` takes
-        #: a backend name/instance or ``None`` for the process default).
-        self.backend = get_backend(engine)
         #: Probe bus for ``sim.*`` lifecycle events, stamped with the
         #: simulation clock.  Idle (zero subscribers) unless a consumer
         #: — e.g. the differential checker in :mod:`repro.check` —
@@ -472,11 +463,10 @@ class ScheduleSimulator:
         self._max_jobs_per_task = max_jobs_per_task
         self._jobs = []
         self._ready = _ReadySet(self.sched_class, self.n_cpus,
-                                global_rt=self.global_sched,
-                                backend=self.backend)
+                                global_rt=self.global_sched)
         self._running = [None] * self.n_cpus
         self._migrations = 0
-        self._engine = self.backend.make_engine()
+        self._engine = Engine()
         self._time = 0.0
 
         for task in self.taskset:

@@ -5,13 +5,14 @@ The paper's middleware runs in user space on Linux, relying on the
 delivery.  This package reproduces that substrate as a deterministic
 discrete-event simulation:
 
-* :mod:`repro.simkernel.engine` — event queue and simulated clock.
+* :mod:`repro.engine.events` — event queue and simulated clock (shared
+  with the theory-level simulator).
 * :mod:`repro.simkernel.cpu` — cores / hardware threads with SMT
   rate-sharing (the Xeon Phi's 4-way in-order SMT is modelled by
   :class:`~repro.simkernel.cpu.Topology`).
-* :mod:`repro.simkernel.runqueue` — per-CPU 99-level FIFO run queues
-  implemented, as in the paper's Figure 5, with a double circular linked
-  list per level plus a priority bitmap.
+* :mod:`repro.simkernel.runqueue` — the 99-level SCHED_FIFO range of
+  the per-CPU run queues (the paper's Figure 5: a FIFO list per level
+  plus a priority bitmap, :class:`repro.engine.readyqueue.IndexedLevelQueue`).
 * :mod:`repro.simkernel.thread` — kernel threads wrapping Python
   generator coroutines that ``yield`` syscall requests.
 * :mod:`repro.simkernel.syscalls` — the syscall request vocabulary
@@ -31,7 +32,7 @@ discrete-event simulation:
 
 from repro.simkernel.costmodel import CostModel, ZeroCostModel
 from repro.simkernel.cpu import Core, HardwareThread, Topology
-from repro.simkernel.engine import Engine, Event
+from repro.engine.events import Engine
 from repro.simkernel.errors import (
     DeadlockError,
     InjectedFaultError,
@@ -42,7 +43,6 @@ from repro.simkernel.errors import (
     SignalUnwind,
 )
 from repro.simkernel.kernel import Kernel
-from repro.simkernel.runqueue import CircularDList, FifoRunQueue, PriorityBitmap
 from repro.simkernel.signals import (
     SIG_DFL,
     SIG_IGN,
@@ -91,7 +91,6 @@ __all__ = [
     "HardwareThread",
     "Topology",
     "Engine",
-    "Event",
     "DeadlockError",
     "InjectedFaultError",
     "InvariantViolationError",
@@ -100,9 +99,6 @@ __all__ = [
     "SimulationError",
     "SignalUnwind",
     "Kernel",
-    "CircularDList",
-    "FifoRunQueue",
-    "PriorityBitmap",
     "SIG_DFL",
     "SIG_IGN",
     "SIGALRM",

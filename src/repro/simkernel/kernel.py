@@ -5,7 +5,8 @@ Execution model
 
 Each :class:`~repro.simkernel.thread.KernelThread` wraps a generator that
 ``yield``\\ s syscall requests.  The kernel keeps, per CPU (hardware
-thread), a :class:`~repro.simkernel.runqueue.FifoRunQueue` and a pointer to
+thread), a run queue built by the scheduling class (for SCHED_FIFO an
+:class:`~repro.engine.readyqueue.IndexedLevelQueue`) and a pointer to
 the currently running thread.  Scheduling decisions are deferred through
 the event queue (a ``need_resched``-style flag per CPU), which keeps event
 ordering deterministic and models the fact that on real Linux a wake-up on
@@ -27,7 +28,7 @@ from collections import deque
 from functools import partial
 from operator import attrgetter
 
-from repro.engine.backend import get_backend
+from repro.engine.events import Engine
 from repro.engine.classes import get_sched_class
 from repro.obs.bus import ProbeBus
 from repro.simkernel.costmodel import ZeroCostModel
@@ -90,7 +91,6 @@ class Kernel:
     :param topology: the :class:`~repro.simkernel.cpu.Topology` to run on.
     :param cost_model: a :class:`~repro.simkernel.costmodel.CostModel`;
         defaults to :class:`~repro.simkernel.costmodel.ZeroCostModel`.
-    :param engine: optionally share an :class:`~repro.engine.events.Engine`.
     :param sched_class: the real-time scheduling class dispatch goes
         through — a :class:`~repro.engine.classes.SchedClass` instance or
         registry name.  Defaults to SCHED_FIFO
@@ -102,20 +102,13 @@ class Kernel:
         otherwise and wired into the engine and run queues, so
         observers attach with zero setup and an unobserved run pays one
         boolean test per probe site.
-    :param backend: an :class:`~repro.engine.backend.EngineBackend`
-        (or registry name, or ``None`` for the process default) that
-        supplies the event engine and run-queue structures.  The
-        ``fast`` backend is byte-identical to ``reference`` on seeded
-        runs (``repro check --engine-diff``) but ~2x faster.  Ignored
-        for the engine when an explicit ``engine`` is shared.
     """
 
-    def __init__(self, topology, cost_model=None, engine=None,
-                 sched_class=None, probe_bus=None, backend=None):
+    def __init__(self, topology, cost_model=None, sched_class=None,
+                 probe_bus=None):
         self.topology = topology
-        self.backend = get_backend(backend)
         self.cost_model = cost_model or ZeroCostModel()
-        self.engine = engine or self.backend.make_engine()
+        self.engine = Engine()
         self.probes = probe_bus if probe_bus is not None \
             else ProbeBus(clock=self.engine)
         if self.probes.clock is None:
@@ -125,7 +118,7 @@ class Kernel:
         self.sched_class = get_sched_class(sched_class or "fifo")
         n = topology.n_cpus
         self.runqueues = [
-            self.sched_class.make_queue(cpu, backend=self.backend)
+            self.sched_class.make_queue(cpu)
             for cpu in range(n)
         ]
         for runqueue in self.runqueues:

@@ -1,25 +1,15 @@
-"""Per-CPU SCHED_FIFO run queues.
+"""SCHED_FIFO priority range of the per-CPU run queues.
 
 Figure 5 of the paper shows the kernel-space structure RT-Seed relies on:
-per-CPU FIFO thread queues with 99 priority levels, each level managed as
-a double circular linked list, with larger priority values denoting
-higher priority.  The generic structure (intrusive circular list per
-level plus a priority bitmap for O(1) lookup of the highest non-empty
-level — the same trick Linux's rt scheduling class uses) lives in
-:mod:`repro.engine.readyqueue`; this module specializes it to the
-SCHED_FIFO priority range and keeps the historical import path working.
-
-The kernel no longer manipulates these queues directly — dispatch goes
-through the :class:`~repro.engine.classes.Fifo99Class` scheduling class,
-whose ``make_queue`` produces this structure.
+per-CPU FIFO thread queues with 99 priority levels, larger priority
+values denoting higher priority, plus a bitmap for O(1) lookup of the
+highest non-empty level (the same trick Linux's rt scheduling class
+uses).  The structure itself is
+:class:`repro.engine.readyqueue.IndexedLevelQueue`; the kernel never
+builds it directly — dispatch goes through the
+:class:`~repro.engine.classes.Fifo99Class` scheduling class, whose
+``make_queue`` produces one per CPU over the range defined here.
 """
-
-from repro.engine.readyqueue import (
-    CircularDList,
-    IndexedLevelQueue,
-    PriorityBitmap,
-    ReadyQueueError,
-)
 
 #: Number of real-time priority levels (1..99), as in Linux SCHED_FIFO.
 NR_RT_PRIORITIES = 99
@@ -31,29 +21,8 @@ MIN_RT_PRIO = 1
 MAX_RT_PRIO = 99
 
 
-class FifoRunQueue(IndexedLevelQueue):
-    """One CPU's ready queue: 99 FIFO levels plus the bitmap.
-
-    Priorities follow Linux ``SCHED_FIFO``: integers in ``[1, 99]``,
-    larger is more urgent.  ``SCHED_OTHER`` background threads are
-    modelled declaratively (see
-    :class:`repro.simkernel.cpu.HardwareThread`), so the run queue only
-    ever holds real-time threads.
-    """
-
-    def __init__(self, cpu_id):
-        super().__init__(MIN_RT_PRIO, MAX_RT_PRIO, cpu_id=cpu_id)
-
-    #: Historical name for :meth:`IndexedLevelQueue.items_at`.
-    threads_at = IndexedLevelQueue.items_at
-
-
 __all__ = [
     "NR_RT_PRIORITIES",
     "MIN_RT_PRIO",
     "MAX_RT_PRIO",
-    "CircularDList",
-    "FifoRunQueue",
-    "PriorityBitmap",
-    "ReadyQueueError",
 ]

@@ -6,8 +6,8 @@ A snapshot is one JSON document with five parts:
     :data:`SNAPSHOT_SCHEMA` — refused on mismatch.
 ``program``
     The *reconstructible program spec*: everything needed to rebuild
-    the exact run from scratch (kind, seed, backend, workload
-    parameters).  See :mod:`repro.snapshot.programs`.
+    the exact run from scratch (kind, seed, workload parameters).
+    See :mod:`repro.snapshot.programs`.
 ``barrier``
     Where in the run the snapshot was taken — for kernel programs the
     engine's ``events_processed`` count and simulated clock; for
@@ -43,16 +43,15 @@ class SnapshotError(Exception):
 
 class SnapshotMismatchError(SnapshotError):
     """A resume refused: the re-executed state does not attest against
-    the captured digest (wrong seed/backend/code, or a tampered
-    document)."""
+    the captured digest (wrong seed or code, or a tampered document),
+    or the document was taken on a retired engine backend."""
 
 
-def build_snapshot(program, barrier, state, seed=None, backend=None):
+def build_snapshot(program, barrier, state, seed=None):
     """Assemble a snapshot document (digest computed here)."""
     return {
         "schema": SNAPSHOT_SCHEMA,
         "seed": seed,
-        "backend": backend,
         "program": program,
         "barrier": barrier,
         "state": state,
@@ -60,16 +59,14 @@ def build_snapshot(program, barrier, state, seed=None, backend=None):
     }
 
 
-def snapshot_kernel(kernel, program, extras=None, seed=None,
-                    backend=None):
+def snapshot_kernel(kernel, program, extras=None, seed=None):
     """Capture ``kernel`` right now into a snapshot document."""
     state = capture_state(kernel, extras=extras)
     barrier = {
         "events_processed": kernel.engine.events_processed,
         "now": kernel.engine.now,
     }
-    return build_snapshot(program, barrier, state, seed=seed,
-                          backend=backend)
+    return build_snapshot(program, barrier, state, seed=seed)
 
 
 def render_snapshot(document):
@@ -136,7 +133,6 @@ def inspect_snapshot(document):
     summary = {
         "schema": document["schema"],
         "seed": document.get("seed"),
-        "backend": document.get("backend"),
         "program": program,
         "barrier": barrier,
         "digest": document["digest"],
@@ -144,7 +140,6 @@ def inspect_snapshot(document):
     if "engine" in state:
         engine = state["engine"]
         summary["engine"] = {
-            "layout": engine["layout"],
             "now": engine["now"],
             "events_processed": engine["events_processed"],
             "pending": engine["pending"],

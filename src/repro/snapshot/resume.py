@@ -7,7 +7,7 @@ digest before handing the run back.  Because the rebuilt run is the
 same deterministic computation from t=0, everything it goes on to
 produce — probe streams, metrics, reports — is byte-identical to the
 uninterrupted run (the tier-1 suite and the CI ``snapshot-smoke`` job
-enforce exactly that, on both backends, fault plans included).
+enforce exactly that, fault plans included).
 """
 
 from repro.snapshot.core import (
@@ -33,36 +33,36 @@ def snapshot(run, at_events=None):
         raise SnapshotError("program not started: call run.start()")
     if at_events is not None:
         run.run_to_events(at_events)
-    return snapshot_kernel(
-        run.kernel, dict(run.spec), extras=run.extras(),
-        seed=run.seed, backend=run.spec.get("engine"),
-    )
+    return snapshot_kernel(run.kernel, dict(run.spec),
+                           extras=run.extras(), seed=run.seed)
 
 
-def restore(document, expect_backend=None):
+def _retired_backend(document):
+    """The engine-backend name a snapshot from before the backends were
+    merged carries (header ``backend`` or program ``engine``), or
+    ``None``."""
+    return document.get("backend") or \
+        document["program"].get("engine")
+
+
+def restore(document):
     """Rebuild + fast-forward + attest; returns the positioned run.
 
-    Refuses (:class:`SnapshotMismatchError`) when the re-executed
-    state does not reproduce the captured digest — wrong backend,
-    wrong seed, changed code, or a tampered document.  ``finish()``
-    on the returned run continues to the end of the run.
-
-    :param expect_backend: optional backend name the caller requires;
-        mismatching documents are refused before any work happens.
+    Refuses (:class:`SnapshotMismatchError`) a snapshot taken on a
+    retired engine backend before any work happens, and a run whose
+    re-executed state does not reproduce the captured digest — wrong
+    seed, changed code, or a tampered document.  ``finish()`` on the
+    returned run continues to the end of the run.
     """
     validate_snapshot(document)
-    backend = document.get("backend")
-    if expect_backend is not None and backend != expect_backend:
+    backend = _retired_backend(document)
+    if backend is not None:
         raise SnapshotMismatchError(
-            f"snapshot was taken on the {backend!r} backend, "
-            f"resume requested {expect_backend!r}"
+            f"snapshot was taken on the retired {backend!r} engine "
+            f"backend; this build has one engine and cannot attest "
+            f"such a snapshot — take a new one"
         )
     run = build_program(document["program"])
-    if run.spec.get("engine") != backend:
-        raise SnapshotMismatchError(
-            f"program spec backend {run.spec.get('engine')!r} does "
-            f"not match snapshot header {backend!r}"
-        )
     run.start()
     barrier = document["barrier"]
     run.run_to_events(barrier["events_processed"])
@@ -84,6 +84,6 @@ def restore(document, expect_backend=None):
     return run
 
 
-def resume_to_end(document, expect_backend=None):
+def resume_to_end(document):
     """Restore and run to completion; returns the program payload."""
-    return restore(document, expect_backend=expect_backend).finish()
+    return restore(document).finish()

@@ -17,6 +17,7 @@ from repro.snapshot import (
     restore,
     snapshot,
 )
+from tests.engine.model import ENGINES, use_engine
 
 pytestmark = pytest.mark.tier1
 
@@ -30,15 +31,6 @@ def _artifact(seed=2, divergences=None):
 
 
 class TestSpecMapping:
-    def test_engine_mismatch_rides_noisy_cost_model(self):
-        artifact = _artifact(seed=5, divergences=[
-            {"kind": "engine_mismatch",
-             "detail": "first stream divergence at event 40"},
-        ])
-        spec = artifact_check_spec(artifact)
-        assert spec["cost_model"] == "xeonphi"
-        assert spec["noise_seed"] == artifact["scenario"]["seed"]
-
     def test_conformance_artifact_rides_zero_costs(self):
         artifact = _artifact(divergences=[
             {"kind": "event_mismatch", "detail": "trace position 7"},
@@ -50,7 +42,7 @@ class TestSpecMapping:
 
     def test_probe_index_extraction(self):
         artifact = _artifact(divergences=[
-            {"kind": "engine_mismatch",
+            {"kind": "stream_mismatch",
              "detail": "first stream divergence at event 40"},
         ])
         assert divergence_probe_index(artifact) == 40
@@ -63,11 +55,10 @@ class TestSpecMapping:
 class TestBarrierMapping:
     def test_probe_index_maps_to_pre_divergence_barrier(self):
         artifact = _artifact(divergences=[
-            {"kind": "engine_mismatch",
+            {"kind": "stream_mismatch",
              "detail": "first stream divergence at event 40"},
         ])
-        document, info = divergence_snapshot(artifact,
-                                             engine="reference")
+        document, info = divergence_snapshot(artifact)
         assert info["barrier_source"] == "divergence_probe_index"
         assert info["probe_index"] == 40
         assert 0 < info["barrier"] < info["total_events"]
@@ -79,30 +70,29 @@ class TestBarrierMapping:
         artifact = _artifact(divergences=[
             {"kind": "event_mismatch", "detail": "trace position 7"},
         ])
-        document, info = divergence_snapshot(artifact,
-                                             engine="reference")
+        document, info = divergence_snapshot(artifact)
         assert info["barrier_source"] == "midpoint"
         assert info["probe_index"] is None
         assert info["barrier"] == info["total_events"] // 2
 
     def test_out_of_range_probe_index_falls_back(self):
         artifact = _artifact(divergences=[
-            {"kind": "engine_mismatch",
+            {"kind": "stream_mismatch",
              "detail": "first stream divergence at event 10000000"},
         ])
-        _document, info = divergence_snapshot(artifact,
-                                              engine="reference")
+        _document, info = divergence_snapshot(artifact)
         assert info["barrier_source"] == "midpoint"
         assert info["probe_index"] is None
 
 
 class TestReplay:
-    @pytest.mark.parametrize("engine", ["reference", "fast"])
-    def test_replay_judges_like_a_full_run(self, engine):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_replay_judges_like_a_full_run(self, engine, monkeypatch):
+        use_engine(engine, monkeypatch)
         artifact = _artifact(seed=3, divergences=[
             {"kind": "event_mismatch", "detail": "trace position 7"},
         ])
-        document, _info = divergence_snapshot(artifact, engine=engine)
+        document, _info = divergence_snapshot(artifact)
         report, payload = replay_from_snapshot(document)
         reference = run_scenario(
             generate_scenario(artifact["scenario"]["seed"]))
@@ -112,8 +102,8 @@ class TestReplay:
         assert payload["program"]["kind"] == "check"
 
     def test_replay_refuses_non_check_snapshots(self):
-        run = build_program({"kind": "trade", "seconds": 4, "seed": 3,
-                             "engine": "reference"}).start()
+        run = build_program({"kind": "trade", "seconds": 4,
+                             "seed": 3}).start()
         document = snapshot(run, at_events=200)
         with pytest.raises(SnapshotError, match="not a check"):
             replay_from_snapshot(document)

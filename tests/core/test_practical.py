@@ -158,3 +158,22 @@ def test_periodic_execution_over_jobs():
         [500 * MSEC, 1000 * MSEC, 1500 * MSEC, 2000 * MSEC]
     )
     assert not process.deadline_misses
+
+
+@pytest.mark.parametrize("chunk", [0, 0.0, -5 * MSEC, float("nan"),
+                                   float("inf")])
+def test_workload_task_rejects_bad_chunk_at_construction(chunk):
+    """``chunk=0`` used to mean "default", a negative chunk failed only
+    mid-run (``negative work``) and NaN issued one NaN ``Compute``."""
+    with pytest.raises(ValueError, match="chunk must be a positive "
+                                         "finite duration"):
+        PracticalWorkloadTask("p", [50 * MSEC, 50 * MSEC], 100 * MSEC,
+                              500 * MSEC, chunk=chunk)
+
+
+def test_workload_task_chunk_default_and_explicit():
+    task = PracticalWorkloadTask("p", [1.0, 1.0], 100 * MSEC, 1 * SEC)
+    assert task.chunk == 2 * MSEC  # optional_length / 50
+    task = PracticalWorkloadTask("p", [1.0, 1.0], 100 * MSEC, 1 * SEC,
+                                 chunk=7 * MSEC)
+    assert task.chunk == 7 * MSEC

@@ -1,90 +1,32 @@
-"""The engine-backend seam: registry, env-var default, API parity.
+"""API parity of the production execution core and the test-only model.
 
-The seam's contract is that every consumer can take any
-:data:`repro.engine.backend.BACKENDS` entry and get the same public
-surface — same factory methods, same engine/queue methods, same
-exception types on misuse of the checked paths that both backends keep.
+The production :class:`~repro.engine.events.Engine` and
+:class:`~repro.engine.readyqueue.IndexedLevelQueue` and their checked
+models in :mod:`tests.engine.model` must expose the same public
+surface with the same results, so the model can stand in for them
+(``test_model_equivalence.py``).  The parametrization ids keep the
+names of the two engine backends these structures come from: ``fast``
+is the production structure (the former fast backend, now the only
+engine), ``reference`` the model (the former checked reference
+backend).
 """
 
 import pytest
 
-from repro.engine.backend import (
-    BACKENDS,
-    ENGINE_ENV_VAR,
-    EngineBackend,
-    FastBackend,
-    ReferenceBackend,
-    default_backend_name,
-    get_backend,
-)
-from repro.engine.events import Engine
-from repro.engine.fastevents import FastEngine
-from repro.engine.fastqueue import FastLevelQueue
-from repro.engine.readyqueue import (
-    HeapReadyQueue,
-    IndexedLevelQueue,
-    ReadyQueueError,
-)
+from repro.engine import events, readyqueue
+from repro.engine.readyqueue import ReadyQueueError
+from tests.engine import model
 
 pytestmark = pytest.mark.tier1
 
-
-def test_registry_has_both_backends():
-    assert sorted(BACKENDS) == ["fast", "reference"]
-    assert isinstance(BACKENDS["reference"], ReferenceBackend)
-    assert isinstance(BACKENDS["fast"], FastBackend)
-
-
-def test_get_backend_by_name_returns_singletons():
-    assert get_backend("reference") is BACKENDS["reference"]
-    assert get_backend("fast") is BACKENDS["fast"]
-
-
-def test_get_backend_passes_instances_through():
-    class Custom(EngineBackend):
-        name = "custom"
-
-    custom = Custom()
-    assert get_backend(custom) is custom
-
-
-def test_get_backend_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown engine backend"):
-        get_backend("turbo")
-    with pytest.raises(ValueError, match="unknown engine backend"):
-        get_backend(42)
-
-
-def test_default_backend_honours_env_var(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-    assert default_backend_name() == "reference"
-    assert get_backend() is BACKENDS["reference"]
-    monkeypatch.setenv(ENGINE_ENV_VAR, "fast")
-    assert default_backend_name() == "fast"
-    assert get_backend() is BACKENDS["fast"]
-
-
-def test_backend_factories_build_the_right_classes():
-    reference = get_backend("reference")
-    fast = get_backend("fast")
-    assert type(reference.make_engine()) is Engine
-    assert type(fast.make_engine()) is FastEngine
-    assert type(reference.make_fifo_queue(1, 10)) is IndexedLevelQueue
-    assert type(fast.make_fifo_queue(1, 10)) is FastLevelQueue
-    # the keyed heap is shared: its entries are already plain tuples
-    for backend in (reference, fast):
-        assert type(backend.make_heap_queue(lambda item: item)) \
-            is HeapReadyQueue
-
-
-def test_noise_modes():
-    assert get_backend("reference").noise_mode == "scalar"
-    assert get_backend("fast").noise_mode == "batched"
+ENGINES = {"reference": model.Engine, "fast": events.Engine}
+LEVEL_QUEUES = {"reference": model.IndexedLevelQueue,
+                "fast": readyqueue.IndexedLevelQueue}
 
 
 @pytest.mark.parametrize("name", ["reference", "fast"])
 def test_engine_api_parity(name):
-    engine = get_backend(name).make_engine(start_time=1.0)
+    engine = ENGINES[name](start_time=1.0)
     assert engine.now == 1.0
     assert engine.events_processed == 0
     assert engine.pending_count == 0
@@ -113,7 +55,7 @@ def test_engine_api_parity(name):
 
 @pytest.mark.parametrize("name", ["reference", "fast"])
 def test_engine_run_until_and_max_events(name):
-    engine = get_backend(name).make_engine()
+    engine = ENGINES[name]()
     fired = []
     for time in (1.0, 2.0, 3.0, 4.0):
         engine.schedule_at(time, lambda t=time: fired.append(t))
@@ -127,13 +69,19 @@ def test_engine_run_until_and_max_events(name):
 
 @pytest.mark.parametrize("name", ["reference", "fast"])
 def test_fifo_queue_api_parity(name):
-    queue = get_backend(name).make_fifo_queue(1, 10, cpu_id=3)
+    queue = LEVEL_QUEUES[name](1, 10, cpu_id=3)
     assert queue.cpu_id == 3
     assert not queue
     assert queue.peek() is None
     assert queue.highest_priority() is None
     with pytest.raises(ReadyQueueError):
         queue.pop()
+    for outside in (0, 11):  # the O(1) level-range check
+        with pytest.raises(ReadyQueueError, match="outside level range"):
+            queue.enqueue("x", outside)
+        with pytest.raises(ReadyQueueError):
+            queue.dequeue("x", outside)
+    assert not queue
 
     queue.enqueue("a", 5)
     queue.enqueue("b", 5)
@@ -159,7 +107,7 @@ def test_fifo_queue_levels_built_on_first_use(name):
     """A level exists only once something was enqueued at it: an unused
     level reads as empty, rejects a dequeue, and leaves no trace in the
     depth telemetry."""
-    queue = get_backend(name).make_fifo_queue(1, 99, cpu_id=0)
+    queue = LEVEL_QUEUES[name](1, 99, cpu_id=0)
     assert queue.items_at(42) == []
     with pytest.raises(ReadyQueueError):
         queue.dequeue("ghost", 42)

@@ -1,8 +1,8 @@
-"""Property-based equivalence of the fast and reference backends.
+"""Property-based equivalence of the production structures and the
+test-only model (:mod:`tests.engine.model`).
 
-These are the tests that license ``--engine fast``: whatever operation
-sequence the kernel throws at them, the fast structures must be
-*observationally identical* to the checked reference ones —
+Whatever operation sequence the kernel throws at them, the production
+structures must be *observationally identical* to the checked model —
 
 * ready queues: same pops, same lengths, same iteration order under
   arbitrary enqueue / at-head enqueue / dequeue / pop interleavings;
@@ -14,6 +14,9 @@ sequence the kernel throws at them, the fast structures must be
   bit-identical floats to scalar draws from the same seed, and per-CPU
   stall multipliers compose *after* the draw, never perturbing the
   stream (the RNG-order contract of :mod:`repro.hardware.noise`).
+
+Production structures are the ``fast`` side of each comparison (they
+are the former fast backend), the model the ``reference`` side.
 """
 
 import numpy as np
@@ -21,8 +24,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.backend import get_backend
+from repro.engine.events import Engine
+from repro.engine.readyqueue import IndexedLevelQueue
 from repro.hardware.noise import BatchedLognormalStream
+from tests.engine import model
 
 pytestmark = pytest.mark.tier1
 
@@ -39,10 +44,8 @@ queue_ops = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(ops=queue_ops)
 def test_fifo_queues_observationally_identical(ops):
-    reference = get_backend("reference").make_fifo_queue(
-        MIN_PRIO, MAX_PRIO
-    )
-    fast = get_backend("fast").make_fifo_queue(MIN_PRIO, MAX_PRIO)
+    reference = model.IndexedLevelQueue(MIN_PRIO, MAX_PRIO)
+    fast = IndexedLevelQueue(MIN_PRIO, MAX_PRIO)
     counter = 0
     for kind, prio, at_head in ops:
         if kind == 0:
@@ -125,19 +128,20 @@ def _drive(engine, ops):
 @settings(max_examples=100, deadline=None)
 @given(ops=engine_ops)
 def test_engines_observationally_identical(ops):
-    reference = _drive(get_backend("reference").make_engine(), ops)
-    fast = _drive(get_backend("fast").make_engine(), ops)
+    reference = _drive(model.Engine(), ops)
+    fast = _drive(Engine(), ops)
     assert reference == fast
 
 
 @pytest.mark.parametrize("cancel_stride", [2, 3])
 def test_compaction_equivalence_under_cancel_storm(cancel_stride):
-    """Enough cancels to cross the lazy-compaction threshold (64) on
-    both backends; survivors must drain identically, and the fast
+    """Enough cancels to cross the lazy-compaction threshold (64) in
+    both engines; survivors must drain identically, and the production
     engine's in-place rebuild must not lose or resurrect records."""
     logs = {}
-    for name in ("reference", "fast"):
-        engine = get_backend(name).make_engine()
+    for name, engine_cls in (("reference", model.Engine),
+                             ("fast", Engine)):
+        engine = engine_cls()
         fired = []
         handles = [
             engine.schedule_at(float(i % 17), lambda i=i: fired.append(i),
@@ -167,9 +171,10 @@ def test_batched_noise_stream_matches_scalar_draws(seed, sigma, n, chunk):
     stream = BatchedLognormalStream(
         np.random.default_rng(seed), sigma, chunk=chunk
     )
-    scalar_rng = np.random.default_rng(seed)
+    scalar = model.ScalarLognormalStream(np.random.default_rng(seed),
+                                         sigma)
     for _ in range(n):
-        assert stream.next() == scalar_rng.lognormal(0.0, sigma)
+        assert stream.next() == scalar.next()
 
 
 class _Stall:
@@ -182,8 +187,9 @@ class _Stall:
         return self.factor if cpu == 0 else 1.0
 
 
-def _price_sequence(noise_mode, stall=None, seed=7, n=120):
-    """Draw ``n`` priced syscall costs alternating between CPUs 0/1."""
+def _price_sequence(scalar, stall=None, seed=7, n=120):
+    """Draw ``n`` priced syscall costs alternating between CPUs 0/1
+    (``scalar``: through the model's scalar draws)."""
     from repro.hardware.overheads import XeonPhiCostModel
     from repro.simkernel.cpu import Topology, uniform_share
 
@@ -193,10 +199,13 @@ def _price_sequence(noise_mode, stall=None, seed=7, n=120):
 
     topology = Topology(2, 1, share_fn=uniform_share,
                         background_weight=0.0)
-    model = XeonPhiCostModel(topology, seed=seed, noise=noise_mode)
-    model.stall = stall
+    costs = XeonPhiCostModel(topology, seed=seed)
+    if scalar:
+        costs._noise_stream = model.ScalarLognormalStream(
+            costs._rng, costs.noise_sigma)
+    costs.stall = stall
     return [
-        model.syscall(None, _Thread(i % 2), None) for i in range(n)
+        costs.syscall(None, _Thread(i % 2), None) for i in range(n)
     ]
 
 
@@ -205,14 +214,14 @@ def _price_sequence(noise_mode, stall=None, seed=7, n=120):
 def test_stall_multipliers_compose_after_the_draw(factor):
     """Installing a stall provider must not perturb the seeded noise
     stream: stalled costs are exactly ``unstalled * multiplier`` on the
-    stalled CPU and exactly unchanged elsewhere — in both noise modes,
-    and identically across them."""
-    baseline = _price_sequence("scalar")
-    assert _price_sequence("batched") == baseline
+    stalled CPU and exactly unchanged elsewhere — with batched and
+    with scalar draws, identically across them."""
+    baseline = _price_sequence(scalar=True)
+    assert _price_sequence(scalar=False) == baseline
 
     stall = _Stall(factor)
-    for mode in ("scalar", "batched"):
-        stalled = _price_sequence(mode, stall=stall)
+    for scalar in (True, False):
+        stalled = _price_sequence(scalar, stall=stall)
         for i, (plain, priced) in enumerate(zip(baseline, stalled)):
             if i % 2 == 0:  # CPU 0: inside the stall window
                 assert priced == plain * factor

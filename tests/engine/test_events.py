@@ -8,7 +8,7 @@ O(1) pending counts and bounded heap growth under heavy cancellation.
 
 import random
 
-from repro.engine.events import Engine
+from repro.engine.events import _PENDING, Engine
 
 import pytest
 
@@ -17,7 +17,7 @@ pytestmark = pytest.mark.tier1
 
 def _live_scan(engine):
     """Ground truth for pending_count: O(n) scan of the heap."""
-    return sum(1 for entry in engine._heap if not entry[3].cancelled)
+    return sum(1 for record in engine._heap if record[4] == _PENDING)
 
 
 def test_pending_count_is_live_counter():
@@ -46,7 +46,7 @@ def test_pending_count_tracks_random_workload():
             engine.cancel(live.pop(rng.randrange(len(live))))
         else:
             if engine.step():
-                live = [e for e in live if e._in_heap and not e.cancelled]
+                live = [e for e in live if e[4] == _PENDING]
         assert engine.pending_count == _live_scan(engine)
 
 
@@ -67,8 +67,10 @@ def test_compaction_bounds_heap_size():
     """Cancelling most of the queue must shrink the physical heap, not
     leave a graveyard of dead entries."""
     engine = Engine()
+    fired = []
     events = [
-        engine.schedule_at(float(i), lambda: None) for i in range(1000)
+        engine.schedule_at(float(i), lambda i=i: fired.append(i))
+        for i in range(1000)
     ]
     for event in events[:900]:
         engine.cancel(event)
@@ -76,13 +78,9 @@ def test_compaction_bounds_heap_size():
     # compaction fired: dead entries can be at most half the heap
     assert engine.heap_size <= 2 * engine.pending_count
     # the survivors still fire, in order
-    fired = []
-    for event in events[900:]:
-        event.callback = lambda t=event.time: fired.append(t)
     while engine.step():
         pass
-    assert fired == sorted(fired)
-    assert len(fired) == 100
+    assert fired == list(range(900, 1000))
 
 
 def test_compaction_does_not_fire_for_small_heaps():

@@ -1,16 +1,18 @@
-"""FastEngine publishes the same engine.* probe stream as Engine.
+"""The production engine publishes the same engine.* probe stream as
+the checked model engine (:mod:`tests.engine.model`).
 
-The fast backend's drain path hoists the ``probes.active`` test out of
-the loop; these tests pin that when a bus IS active, the hoisted path
-still emits ``engine.event_pop`` and ``engine.compact`` exactly like
-the reference engine — topic for topic, payload for payload.
+The production drain path hoists the ``probes.want_engine`` test out
+of the loop; these tests pin that when a bus IS active, the hoisted
+path still emits ``engine.event_pop`` and ``engine.compact`` exactly
+like the model — topic for topic, payload for payload.
 """
 
 import pytest
 
 from repro.engine.events import Engine
-from repro.engine.fastevents import FastEngine
 from repro.obs.bus import ProbeBus
+from tests.engine import model
+from tests.engine.model import swap_in_model
 
 pytestmark = pytest.mark.tier1
 
@@ -78,26 +80,26 @@ def drive_compaction(engine):
     ids=["run", "step", "compact"],
 )
 def test_probe_streams_byte_identical(drive):
-    reference = observed(Engine, drive)
-    fast = observed(FastEngine, drive)
+    reference = observed(model.Engine, drive)
+    fast = observed(Engine, drive)
     assert reference, "expected a non-empty probe stream"
     assert reference == fast
 
 
 def test_compaction_publishes_on_both_backends():
-    reference = observed(Engine, drive_compaction)
+    reference = observed(model.Engine, drive_compaction)
     compacts = [entry for entry in reference
                 if entry[0] == "engine.compact"]
     assert compacts, "workload must trip the compactor"
-    assert observed(FastEngine, drive_compaction) == reference
+    assert observed(Engine, drive_compaction) == reference
 
 
-def test_full_middleware_engine_stream_matches():
+def test_full_middleware_engine_stream_matches(monkeypatch):
     from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
     from repro.core.middleware import RTSeed
 
-    def run(engine):
-        middleware = RTSeed(seed=0, engine=engine)
+    def run():
+        middleware = RTSeed(seed=0)
         middleware.add_task(
             make_eval_task(4),
             n_jobs=2,
@@ -115,7 +117,9 @@ def test_full_middleware_engine_stream_matches():
         middleware.run()
         return stream
 
-    reference = run("reference")
+    with monkeypatch.context() as patch:
+        swap_in_model(patch)
+        reference = run()
     assert any(topic == "engine.event_pop"
                for topic, _time, _data in reference)
-    assert run("fast") == reference
+    assert run() == reference

@@ -1,6 +1,6 @@
 """Worker-count invariance: the farm's central acceptance property.
 
-The same batch — check runs, engine-diff runs, or a fault campaign —
+The same batch — check runs or a fault campaign —
 must produce **byte-identical** merged reports at ``--workers 1``,
 ``2``, and ``4``, and a farmed campaign must be byte-identical to the
 serial ``run_campaign`` sweep.  ``workers=1`` runs in-process through
@@ -38,16 +38,6 @@ def test_check_batch_invariant_across_worker_counts():
     assert reports[1] == reports[2] == reports[4]
     assert '"completed_runs": 8' in reports[1]
     assert '"total_failures": 0' in reports[1]
-
-
-def test_engine_diff_batch_invariant_across_worker_counts():
-    reports = {
-        workers: _check_bytes(workers, n_runs=6, seed=0,
-                              engine_diff=True)
-        for workers in (1, 2, 4)
-    }
-    assert reports[1] == reports[2] == reports[4]
-    assert '"mode": "engine_diff"' in reports[1]
 
 
 def test_shrunk_artifacts_invariant_with_planted_bug(monkeypatch):

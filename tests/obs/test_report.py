@@ -38,7 +38,7 @@ def test_collect_engine_and_queue_sections():
     sections = report.to_dict()
     assert sections["schema"] == RUN_REPORT_SCHEMA
     engine = sections["engine"]
-    assert engine["backend"] in ("reference", "fast")
+    assert set(engine) == {"now", "counters"}
     counters = engine["counters"]
     assert counters["events_processed"] > 0
     assert counters["events_scheduled"] >= counters["events_processed"]
@@ -126,11 +126,14 @@ def test_to_json_is_deterministic_and_parseable():
         == rendered
 
 
-def test_reports_match_across_backends():
+def test_reports_match_across_backends(monkeypatch):
+    """The production structures and the checked model
+    (``tests/engine/model.py``) report identical telemetry."""
     from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
+    from tests.engine.model import swap_in_model
 
-    def run(engine):
-        middleware = RTSeed(seed=0, engine=engine)
+    def run():
+        middleware = RTSeed(seed=0)
         middleware.add_task(
             make_eval_task(3),
             n_jobs=2,
@@ -141,13 +144,10 @@ def test_reports_match_across_backends():
         middleware.run()
         return RunReport.collect(middleware.kernel).to_dict()
 
-    reference = run("reference")
-    fast = run("fast")
-    assert reference["engine"]["backend"] == "reference"
-    assert fast["engine"]["backend"] == "fast"
-    # identical work, identical telemetry — only the backend name differs
-    reference["engine"]["backend"] = fast["engine"]["backend"]
-    assert reference == fast
+    with monkeypatch.context() as patch:
+        swap_in_model(patch)
+        model = run()
+    assert model == run()
 
 
 def test_repr_names_sections():
@@ -160,7 +160,6 @@ def test_merge_sums_counts_and_maxes_peaks():
     shard_a = {
         "schema": RUN_REPORT_SCHEMA,
         "engine": {
-            "backend": "reference",
             "now": 100,
             "counters": {
                 "events_processed": 10,
@@ -182,7 +181,6 @@ def test_merge_sums_counts_and_maxes_peaks():
     shard_b = {
         "schema": RUN_REPORT_SCHEMA,
         "engine": {
-            "backend": "reference",
             "now": 50,
             "counters": {
                 "events_processed": 5,
@@ -202,7 +200,6 @@ def test_merge_sums_counts_and_maxes_peaks():
     merged = RunReport.merge([shard_a, shard_b]).to_dict()
     assert merged["shards"] == 2
     engine = merged["engine"]
-    assert engine["backend"] == "reference"
     assert engine["now"] == 150  # total simulated time across shards
     assert engine["counters"]["events_processed"] == 15
     assert engine["counters"]["peak_heap_size"] == 9  # max, not sum
@@ -223,12 +220,14 @@ def test_merge_sums_counts_and_maxes_peaks():
 
 
 def test_merge_mixed_backends_and_instances():
+    """Instances merge with dicts, including reports written while two
+    engine backends existed (their ``engine`` section names one)."""
     kernel, _ = small_run(with_metrics=False)
     report = RunReport.collect(kernel)
     other = json.loads(json.dumps(report.to_dict()))
     other["engine"]["backend"] = "fast"
     merged = RunReport.merge([report, other]).to_dict()
-    assert merged["engine"]["backend"] == "mixed"
+    assert set(merged["engine"]) == {"now", "counters"}
     assert merged["engine"]["counters"]["events_processed"] == 2 * (
         report.sections["engine"]["counters"]["events_processed"]
     )

@@ -1,11 +1,10 @@
 """Slow tier: the paper's full 57-core x 4-HT topology at >= 1,000
-tasks, on both engine backends.
+tasks.
 
 This is the acceptance run for ROADMAP item 2 scaled down only in job
 horizon, not in topology or task count: every hardware thread of the
 Xeon Phi is populated, every per-core shard passes the kernel trace /
-protocol / final-state oracles (run inside ``_scale_item``), the two
-engine backends agree byte-for-byte on the campaign document, and the
+protocol / final-state oracles (run inside ``_scale_item``), and the
 merged telemetry stays sane.  Run with ``-m slow``.
 """
 
@@ -26,50 +25,27 @@ FULL = dict(n_cores=57, threads_per_core=4, n_tasks=1026, seed=0)
 
 
 @pytest.fixture(scope="module")
-def campaigns():
-    """One full-topology campaign per backend (module-scoped: the two
-    runs feed several assertions)."""
-    documents = {}
-    stats = {}
-    for backend in ("reference", "fast"):
-        document, result = farm_scale(workers=2, engine=backend, **FULL)
-        assert result.ok, f"{backend}: farm not ok"
-        documents[backend] = document
-        stats[backend] = result.stats
-    return documents, stats
+def campaign():
+    """One full-topology campaign (module-scoped: the run feeds
+    several assertions)."""
+    document, result = farm_scale(workers=2, **FULL)
+    assert result.ok, "farm not ok"
+    return document, result.stats
 
 
-def test_full_topology_clean_on_both_backends(campaigns):
-    documents, _ = campaigns
-    for backend, document in documents.items():
-        assert document["completed_shards"] == 57, backend
-        assert document["totals"]["tasks"] == FULL["n_tasks"], backend
-        assert document["totals"]["violations"] == 0, backend
-        assert document["total_crashes"] == 0, backend
-        assert document["errors"] == [], backend
-        assert document["quarantined"] == [], backend
-        assert document["totals"]["jobs_done"] >= 1000, backend
+def test_full_topology_clean(campaign):
+    document, _ = campaign
+    assert document["completed_shards"] == 57
+    assert document["totals"]["tasks"] == FULL["n_tasks"]
+    assert document["totals"]["violations"] == 0
+    assert document["total_crashes"] == 0
+    assert document["errors"] == []
+    assert document["quarantined"] == []
+    assert document["totals"]["jobs_done"] >= 1000
 
 
-def test_backends_agree_modulo_engine_tag(campaigns):
-    documents, _ = campaigns
-    reference = dict(documents["reference"])
-    fast = dict(documents["fast"])
-    # the run_report carries the backend tag too; everything else must
-    # agree byte-for-byte
-    assert reference.pop("engine") == "reference"
-    assert fast.pop("engine") == "fast"
-    ref_report = reference.pop("run_report")
-    fast_report = fast.pop("run_report")
-    assert render_scale_report(reference) == render_scale_report(fast)
-    assert ref_report["engine"].pop("backend") == "reference"
-    assert fast_report["engine"].pop("backend") == "fast"
-    assert ref_report == fast_report
-
-
-def test_merged_telemetry_sane(campaigns):
-    documents, _ = campaigns
-    document = documents["reference"]
+def test_merged_telemetry_sane(campaign):
+    document, _ = campaign
     report = document["run_report"]
     assert report["shards"] == 57
     counters = report["engine"]["counters"]
@@ -86,29 +62,26 @@ def test_merged_telemetry_sane(campaigns):
         assert queue["peak_depth"] >= queue["depth"] >= 0
 
 
-def test_wall_clock_stats_stay_out_of_document(campaigns):
-    documents, stats = campaigns
-    for backend in documents:
-        assert "wall_seconds" in stats[backend]
-        assert stats[backend]["wall_seconds"] > 0
-        rendered = render_scale_report(documents[backend])
-        assert "wall_seconds" not in rendered
+def test_wall_clock_stats_stay_out_of_document(campaign):
+    document, stats = campaign
+    assert "wall_seconds" in stats
+    assert stats["wall_seconds"] > 0
+    assert "wall_seconds" not in render_scale_report(document)
 
 
-def test_sampled_shard_oracle_conformance(campaigns):
+def test_sampled_shard_oracle_conformance(campaign):
     """Re-run a sampled window of cores outside the farm and judge the
     traces directly — the stress campaign's per-shard oracle verdicts
     must reproduce."""
-    documents, _ = campaigns
-    shards = documents["reference"]["shards"]
+    document, _ = campaign
+    shards = document["shards"]
     for shard in (shards[0], shards[28], shards[56]):
         seed = derive_run_seed(FULL["seed"], shard["index"])
         assert seed == shard["seed"]
         scenario = generate_core_scenario(
             seed, threads_per_core=FULL["threads_per_core"],
             n_tasks=shard["n_tasks"])
-        events, kernel, crash = run_middleware(scenario,
-                                               engine="reference")
+        events, kernel, crash = run_middleware(scenario)
         assert crash is None
         violations = []
         violations.extend(check_kernel_trace(events, scenario.n_cpus))

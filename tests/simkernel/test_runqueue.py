@@ -1,17 +1,20 @@
-"""Unit and property tests for the SCHED_FIFO run-queue structures."""
+"""Unit and property tests for the SCHED_FIFO run-queue structures.
+
+The per-CPU run queue is what the FIFO-99 scheduling class builds for
+the kernel (an :class:`~repro.engine.readyqueue.IndexedLevelQueue`
+over ``[MIN_RT_PRIO, MAX_RT_PRIO]``).  The circular list and bitmap
+tested first are the literal Figure 5 structures of the checked model
+(:mod:`tests.engine.model`) the production queue is compared against.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.classes import get_sched_class
 from repro.engine.readyqueue import ReadyQueueError
-from repro.simkernel.runqueue import (
-    MAX_RT_PRIO,
-    MIN_RT_PRIO,
-    CircularDList,
-    FifoRunQueue,
-    PriorityBitmap,
-)
+from repro.simkernel.runqueue import MAX_RT_PRIO, MIN_RT_PRIO
+from tests.engine.model import CircularDList, PriorityBitmap
 
 pytestmark = pytest.mark.tier1
 
@@ -176,12 +179,17 @@ def test_bitmap_highest_matches_max(priorities):
 
 
 # ---------------------------------------------------------------------------
-# FifoRunQueue
+# the kernel's per-CPU SCHED_FIFO run queue
 # ---------------------------------------------------------------------------
 
 
+def fifo_runqueue(cpu_id):
+    """CPU ``cpu_id``'s run queue, built as the kernel builds it."""
+    return get_sched_class("fifo").make_queue(cpu_id)
+
+
 def test_runqueue_priority_order():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     low, mid, high = Item("low"), Item("mid"), Item("high")
     runqueue.enqueue(low, 10)
     runqueue.enqueue(high, 90)
@@ -192,7 +200,7 @@ def test_runqueue_priority_order():
 
 
 def test_runqueue_fifo_within_level():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     first, second = Item("first"), Item("second")
     runqueue.enqueue(first, 50)
     runqueue.enqueue(second, 50)
@@ -201,7 +209,7 @@ def test_runqueue_fifo_within_level():
 
 
 def test_runqueue_preempted_thread_goes_to_head():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     waiting, preempted = Item("waiting"), Item("preempted")
     runqueue.enqueue(waiting, 50)
     runqueue.enqueue(preempted, 50, at_head=True)
@@ -209,7 +217,7 @@ def test_runqueue_preempted_thread_goes_to_head():
 
 
 def test_runqueue_priority_bounds():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     with pytest.raises(ReadyQueueError):
         runqueue.enqueue(Item("x"), 0)
     with pytest.raises(ReadyQueueError):
@@ -219,7 +227,7 @@ def test_runqueue_priority_bounds():
 
 
 def test_runqueue_dequeue_specific():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     a, b = Item("a"), Item("b")
     runqueue.enqueue(a, 60)
     runqueue.enqueue(b, 60)
@@ -230,11 +238,11 @@ def test_runqueue_dequeue_specific():
 
 def test_runqueue_empty_pop_rejected():
     with pytest.raises(ReadyQueueError):
-        FifoRunQueue(0).pop()
+        fifo_runqueue(0).pop()
 
 
 def test_runqueue_peek_does_not_remove():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     a = Item("a")
     runqueue.enqueue(a, 42)
     assert runqueue.peek() == (a, 42)
@@ -242,12 +250,12 @@ def test_runqueue_peek_does_not_remove():
 
 
 def test_runqueue_threads_at_level():
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     a, b = Item("a"), Item("b")
     runqueue.enqueue(a, 7)
     runqueue.enqueue(b, 7)
-    assert runqueue.threads_at(7) == [a, b]
-    assert runqueue.threads_at(8) == []
+    assert runqueue.items_at(7) == [a, b]
+    assert runqueue.items_at(8) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -259,7 +267,7 @@ def test_runqueue_threads_at_level():
 )
 def test_runqueue_pop_is_highest_then_fifo(entries):
     """Property: pop() always returns the oldest item of the highest level."""
-    runqueue = FifoRunQueue(0)
+    runqueue = fifo_runqueue(0)
     model = {}
     counter = 0
     for priority, do_pop in entries:

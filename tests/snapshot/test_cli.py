@@ -30,8 +30,7 @@ def test_snapshot_run_emits_deterministic_payload():
 
 def test_snapshot_dump_inspect_resume_flow(tmp_path):
     snap = str(tmp_path / "snap.json")
-    program = ["--program", "trade", "--seconds", "4", "--seed", "3",
-               "--engine", "reference"]
+    program = ["--program", "trade", "--seconds", "4", "--seed", "3"]
     code, text = _run(["snapshot", "dump", *program,
                        "--at-events", "300", "--snapshot", snap])
     assert code == 0
@@ -41,7 +40,6 @@ def test_snapshot_dump_inspect_resume_flow(tmp_path):
     assert code == 0
     summary = json.loads(text)
     assert summary["schema"] == "rtseed-snapshot/1"
-    assert summary["backend"] == "reference"
     assert summary["barrier"]["events_processed"] == 300
     assert summary["engine"]["events_processed"] == 300
 

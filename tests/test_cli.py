@@ -346,3 +346,43 @@ def test_scale_summary_silent_when_every_shard_completes():
 
     document, _ = farm_scale(n_cores=2, threads_per_core=2, n_tasks=8)
     assert failure_summary(document) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--runs", "-3"], "check: --runs must be >= 0, got -3"),
+    (["check", "--workers", "0"], "check: --workers must be >= 1"),
+    (["check", "--fault-rate", "1.7"],
+     "check: --fault-rate must be within [0, 1], got 1.7"),
+    (["check", "--fault-rate", "-0.1"], "--fault-rate must be within"),
+    (["check", "--fault-rate", "nan"], "--fault-rate must be within"),
+    (["faults", "--seconds", "0"], "faults: --seconds must be > 0"),
+    (["faults", "--seconds", "0", "--workers", "2"],
+     "faults: --seconds must be > 0"),
+    (["faults", "--workers", "0"], "faults: --workers must be >= 1"),
+    (["farm", "--runs", "-1"], "farm: --runs must be >= 0"),
+    (["farm", "--workers", "0"], "farm: --workers must be >= 1"),
+    (["farm", "--fault-rate", "2"], "farm: --fault-rate must be within"),
+    (["farm", "--what", "faults", "--seconds", "-1"],
+     "farm: --seconds must be > 0"),
+])
+def test_batch_commands_reject_bad_arguments_before_running(argv,
+                                                            message):
+    """Bad batch arguments exit 2 with one clear message, before any
+    scenario runs or anything is farmed out."""
+    code, output = run_cli(argv)
+    assert code == 2
+    assert message in output
+    assert output.count("\n") == 1
+    assert "farm:" not in output.replace("farm: --", "")
+
+
+def test_batch_argument_checks_only_what_the_batch_uses(tmp_path):
+    """``--seconds`` only sizes fault campaigns and ``--runs`` only
+    check batches; a zero run count is a valid (empty) batch."""
+    code, output = run_cli(["check", "--runs", "0"])
+    assert code == 0
+    assert "0 runs from seed 0" in output
+    code, _output = run_cli(["farm", "--runs", "0", "--seconds", "0",
+                             "--workers", "1",
+                             "--out", str(tmp_path / "farm.json")])
+    assert code == 0

@@ -1,150 +1,110 @@
-"""CI gate for the engine layer: quick fig10 on both backends.
+"""CI perf gate for the engine layer: quick fig10, this tree vs parent.
 
-Two checks, both against the committed ``BENCH_engine.json``
-trajectory (append-only, see ``benchmarks/bench_engine_perf.py``):
+Times the quick fig10 workload (one task, 57 parallel optional parts,
+``--jobs`` jobs, seed 0, no background load) as **wall milliseconds
+per simulated job** — build plus run, the same fixed output
+``tools/bench_report.py`` gates the committed trajectory on — on two
+source trees:
 
-1. **Trace equality** — the quick fig10 workload is run on the
-   ``reference`` and ``fast`` backends with a probe subscriber
-   attached; the recorded ``rtseed.*``/``kernel.*`` streams, final
-   clock and event counts must be exactly equal.  Any mismatch fails
-   the job (this is the cheap always-on sibling of
-   ``repro check --engine-diff``).
+* the working tree this script lives in, and
+* a checkout of the parent commit (``--parent DIR``; CI makes one with
+  ``git worktree add`` of the PR base or ``HEAD^``).
 
-2. **Throughput regression** — the fast backend's speedup over the
-   reference backend (measured interleaved, best-of-N, in this very
-   process) must be within 10% of the speedup implied by the
-   trajectory's most recent ``fast`` and ``reference`` entries.
-   Comparing *ratios* rather than absolute events/sec makes the gate
-   hold on CI runners of any speed.
+Each sample runs in a fresh interpreter with that tree's ``src`` on
+``PYTHONPATH`` and times only the workload (imports excluded).  The
+two trees alternate sample by sample and each keeps its best
+(interleaved best-of-N, robust to one-off scheduler hiccups).  The
+gate fails when this tree's best is more than 10% slower per job than
+the parent's.  Both trees run on the same runner at the same time, so
+the verdict does not depend on the runner's speed.  Both must also
+simulate the same number of jobs.
 
 Usage::
 
-    PYTHONPATH=src python tools/engine_bench_smoke.py \
-        [--bench BENCH_engine.json] [--jobs 6] [--samples 3]
+    PYTHONPATH=src python tools/engine_bench_smoke.py --parent DIR \\
+        [--jobs 6] [--samples 3]
 """
 
 import argparse
 import json
+import os
+import subprocess
 import sys
-import time
 
 QUICK_JOBS = 6
 SAMPLES = 3
 REGRESSION_TOLERANCE = 0.10
 
+TREE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-def _build(engine, n_jobs):
-    from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
-    from repro.core.middleware import RTSeed
-    from repro.hardware.loads import BackgroundLoad
+#: One timed sample; prints ``{"wall_ms_per_job", "jobs"}`` as JSON.
+_SAMPLE = """
+import json, sys, time
+from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
+from repro.core.middleware import RTSeed
+from repro.hardware.loads import BackgroundLoad
 
-    middleware = RTSeed(load=BackgroundLoad.NONE, seed=0, engine=engine)
-    middleware.add_task(
-        make_eval_task(57),
-        n_jobs=n_jobs,
-        cpu=0,
-        policy="one_by_one",
-        optional_deadline=OPTIONAL_DEADLINE,
+n_jobs = int(sys.argv[1])
+start = time.perf_counter()
+middleware = RTSeed(load=BackgroundLoad.NONE, seed=0)
+task = make_eval_task(57)
+middleware.add_task(task, n_jobs=n_jobs, cpu=0, policy="one_by_one",
+                    optional_deadline=OPTIONAL_DEADLINE)
+result = middleware.run()
+elapsed = time.perf_counter() - start
+print(json.dumps({"wall_ms_per_job": elapsed / n_jobs * 1000.0,
+                  "jobs": len(result.tasks[task.name].probes)}))
+"""
+
+
+def timed_sample(tree, n_jobs):
+    """One fresh-interpreter quick fig10 run on ``tree``; returns
+    ``(wall ms per job, jobs completed)``."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    completed = subprocess.run(
+        [sys.executable, "-c", _SAMPLE, str(n_jobs)], env=env,
+        capture_output=True, text=True, check=True,
     )
-    return middleware
+    sample = json.loads(completed.stdout.strip().splitlines()[-1])
+    return sample["wall_ms_per_job"], sample["jobs"]
 
 
-def observed_run(engine, n_jobs):
-    """One observed quick run; returns (probe events, final clock,
-    events processed)."""
-    middleware = _build(engine, n_jobs)
-    events = []
-    middleware.probes.subscribe(
-        lambda topic, time, data: events.append(
-            (topic, time, sorted(data.items()))
-        ),
-        topics=["rtseed.*", "kernel.*"],
-    )
-    middleware.run()
-    engine_obj = middleware.kernel.engine
-    return events, engine_obj.now, engine_obj.events_processed
-
-
-def timed_rate(engine, n_jobs):
-    """One unobserved quick run; returns events/sec."""
-    start = time.perf_counter()
-    middleware = _build(engine, n_jobs)
-    middleware.run()
-    elapsed = time.perf_counter() - start
-    return middleware.kernel.engine.events_processed / elapsed
-
-
-def check_traces(n_jobs):
-    reference = observed_run("reference", n_jobs)
-    fast = observed_run("fast", n_jobs)
-    ref_events, ref_now, ref_count = reference
-    fast_events, fast_now, fast_count = fast
-    if ref_count != fast_count or ref_now != fast_now:
-        print(f"FAIL: run mismatch — reference {ref_count} events to "
-              f"t={ref_now}, fast {fast_count} events to t={fast_now}")
+def check_regression(parent, n_jobs, samples):
+    best = {"tree": None, "parent": None}
+    jobs = {}
+    for index in range(samples):
+        # alternate which tree goes first: fair to CPU-frequency drift
+        order = ("tree", "parent") if index % 2 == 0 \
+            else ("parent", "tree")
+        for side in order:
+            wall, done = timed_sample(TREE if side == "tree" else parent,
+                                      n_jobs)
+            jobs[side] = done
+            if best[side] is None or wall < best[side]:
+                best[side] = wall
+    if jobs["tree"] != jobs["parent"]:
+        print(f"FAIL: this tree completed {jobs['tree']} job(s), the "
+              f"parent {jobs['parent']}")
         return False
-    if len(ref_events) != len(fast_events):
-        print(f"FAIL: probe-stream length mismatch — reference "
-              f"{len(ref_events)}, fast {len(fast_events)}")
-        return False
-    for index, (ref, fst) in enumerate(zip(ref_events, fast_events)):
-        if ref != fst:
-            print(f"FAIL: probe streams diverge at event {index}:\n"
-                  f"  reference: {ref!r}\n  fast:      {fst!r}")
-            return False
-    print(f"trace check OK: {len(ref_events)} probe events, "
-          f"{ref_count} kernel events, byte-identical")
-    return True
-
-
-def last_entry(history, engine):
-    for entry in reversed(history):
-        if entry.get("engine") == engine:
-            return entry
-    return None
-
-
-def check_regression(bench_path, n_jobs, samples):
-    with open(bench_path) as handle:
-        history = json.load(handle).get("history", [])
-    fast_entry = last_entry(history, "fast")
-    reference_entry = last_entry(history, "reference")
-    if fast_entry is None or reference_entry is None:
-        print("regression check SKIPPED: trajectory has no "
-              "fast/reference entry pair yet")
-        return True
-    expected = (
-        fast_entry["fig10_mandatory"]["events_per_sec_median"]
-        / reference_entry["fig10_mandatory"]["events_per_sec_median"]
-    )
-
-    # interleaved best-of-N: robust to one-off scheduler hiccups
-    reference_rates, fast_rates = [], []
-    for _ in range(samples):
-        reference_rates.append(timed_rate("reference", n_jobs))
-        fast_rates.append(timed_rate("fast", n_jobs))
-    observed = max(fast_rates) / max(reference_rates)
-
-    floor = expected * (1.0 - REGRESSION_TOLERANCE)
-    verdict = "OK" if observed >= floor else "FAIL"
-    print(f"regression check {verdict}: fast/reference speedup "
-          f"{observed:.2f}x observed vs {expected:.2f}x in the "
-          f"trajectory (floor {floor:.2f}x; reference "
-          f"{max(reference_rates):,.0f} ev/s, fast "
-          f"{max(fast_rates):,.0f} ev/s)")
-    return observed >= floor
+    ceiling = best["parent"] * (1.0 + REGRESSION_TOLERANCE)
+    ok = best["tree"] <= ceiling
+    print(f"regression check {'OK' if ok else 'FAIL'}: "
+          f"{best['tree']:.2f} ms/job on this tree vs "
+          f"{best['parent']:.2f} ms/job on the parent "
+          f"({best['tree'] / best['parent'] - 1.0:+.1%}; ceiling "
+          f"{ceiling:.2f} ms/job, best of {samples}, {n_jobs} jobs)")
+    return ok
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--bench", default="BENCH_engine.json")
+    parser.add_argument("--parent", required=True, metavar="DIR",
+                        help="checkout of the parent commit")
     parser.add_argument("--jobs", type=int, default=QUICK_JOBS)
     parser.add_argument("--samples", type=int, default=SAMPLES)
     args = parser.parse_args(argv)
-
-    ok = check_traces(args.jobs)
-    ok = check_regression(args.bench, args.jobs, args.samples) and ok
-    return 0 if ok else 1
+    return 0 if check_regression(args.parent, args.jobs,
+                                 args.samples) else 1
 
 
 if __name__ == "__main__":

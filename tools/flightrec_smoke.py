@@ -11,11 +11,11 @@ Three checks (all seeded, CI-friendly):
 2. **Byte determinism** — the same planted run executed twice must
    write byte-identical dumps (the artifact is a function of the seed,
    nothing else).
-3. **Tail parity** — a quick fig10 workload runs on *both* engine
-   backends with an activating subscriber; the fast backend carries a
-   flight recorder, and its ring tail must equal the canonical tail of
-   the reference backend's full probe stream for the same seed,
-   filtered to the recorder's ``FLIGHT_TOPICS``.
+3. **Tail parity** — a quick fig10 workload runs with an activating
+   subscriber and a flight recorder; the ring tail must equal the tail
+   of the same run's full probe stream filtered to the recorder's
+   ``FLIGHT_TOPICS``, and the recorder must have seen exactly that
+   filtered stream's length.
 
 Usage::
 
@@ -124,14 +124,15 @@ def check_planted(flight_dir, n_seconds, seed):
     return True
 
 
-def _observed_run(engine, n_jobs, with_recorder):
-    """Quick fig10 run; returns (canonical probe stream, recorder)."""
+def _observed_run(n_jobs):
+    """Quick fig10 run with a flight recorder; returns (canonical probe
+    stream, recorder)."""
     from repro.bench.overheads import OPTIONAL_DEADLINE, make_eval_task
     from repro.core.middleware import RTSeed
     from repro.hardware.loads import BackgroundLoad
     from repro.obs.flightrec import FlightRecorder
 
-    middleware = RTSeed(load=BackgroundLoad.NONE, seed=0, engine=engine)
+    middleware = RTSeed(load=BackgroundLoad.NONE, seed=0)
     middleware.add_task(
         make_eval_task(57),
         n_jobs=n_jobs,
@@ -145,46 +146,36 @@ def _observed_run(engine, n_jobs, with_recorder):
             (topic, time, tuple(sorted(data.items())))
         ),
     )
-    recorder = None
-    if with_recorder:
-        recorder = FlightRecorder.attach(middleware.kernel, seed=0)
+    recorder = FlightRecorder.attach(middleware.kernel, seed=0)
     middleware.run()
     return stream, recorder
 
 
 def check_tail_parity(n_jobs):
-    """Check 3: fast-backend ring tail == the tail of the reference
-    stream's flight topics."""
+    """Check 3: ring tail == the tail of the same run's stream filtered
+    to the flight topics."""
     from repro.obs.flightrec import is_flight_topic
 
-    reference_stream, _ = _observed_run("reference", n_jobs,
-                                        with_recorder=False)
-    fast_stream, recorder = _observed_run("fast", n_jobs,
-                                          with_recorder=True)
-    if reference_stream != fast_stream:
-        print(f"FAIL: probe streams diverge between backends "
-              f"({len(reference_stream)} vs {len(fast_stream)} events)")
-        return False
-    flight_stream = [event for event in reference_stream
+    stream, recorder = _observed_run(n_jobs)
+    flight_stream = [event for event in stream
                      if is_flight_topic(event[0])]
     tail = recorder.tail()
     if recorder.recorded != len(flight_stream):
         print(f"FAIL: recorder saw {recorder.recorded} events, the "
-              f"reference stream holds {len(flight_stream)} flight "
-              f"events")
+              f"stream holds {len(flight_stream)} flight events")
         return False
     expected = flight_stream[-len(tail):]
     if tail != expected:
         for index, (got, want) in enumerate(zip(tail, expected)):
             if got != want:
-                print(f"FAIL: ring tail diverges from reference "
-                      f"stream at tail event {index}:\n"
-                      f"  ring:      {got!r}\n  reference: {want!r}")
+                print(f"FAIL: ring tail diverges from the stream at "
+                      f"tail event {index}:\n"
+                      f"  ring:   {got!r}\n  stream: {want!r}")
                 return False
         print(f"FAIL: ring tail length {len(tail)} mismatches")
         return False
     print(f"tail-parity check OK: {len(tail)} ring events match the "
-          f"reference stream tail ({recorder.recorded} recorded, "
+          f"flight-topic stream tail ({recorder.recorded} recorded, "
           f"{recorder.dropped} dropped)")
     return True
 
